@@ -33,7 +33,7 @@ from repro.common.config import BlinkDBConfig, ClusterConfig, SamplingConfig
 from repro.core.blinkdb import BlinkDB
 from repro.faults import FaultPlan
 from repro.faults import injector as injector_mod
-from repro.service.metrics import percentile_of
+from repro.obs import percentile_of
 from repro.storage import shm
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))

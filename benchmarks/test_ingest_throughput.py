@@ -26,7 +26,7 @@ import time
 from benchmarks._report import print_header, print_table
 from repro.common.config import BlinkDBConfig, ClusterConfig, SamplingConfig
 from repro.core.blinkdb import BlinkDB
-from repro.service.metrics import percentile_of
+from repro.obs import percentile_of
 from repro.workloads.conviva import conviva_query_templates, generate_sessions_table
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))

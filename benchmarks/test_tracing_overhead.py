@@ -25,7 +25,7 @@ import time
 import pytest
 
 from benchmarks._report import print_header, print_table
-from repro.service.metrics import percentile_of
+from repro.obs import percentile_of
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 REPEATS = 120 if QUICK else 400

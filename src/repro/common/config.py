@@ -288,8 +288,8 @@ class BlinkDBConfig:
     # Fraction of executions that get a full span tree attached under
     # metadata["trace"].  1.0 traces everything; under load an operator drops
     # this (e.g. 0.01) so the hot path pays only one sampling decision per
-    # query.  Sampling is deterministic (a credit accumulator, not an RNG):
-    # exactly ceil(rate * n) of any n queries are traced.
+    # query.  Sampling is deterministic (counted, not an RNG): of the first
+    # n queries exactly floor(rate * n) are traced, evenly spaced.
     trace_sample_rate: float = 1.0
     # Rolling window (observations per template) of the accuracy ledger's
     # latency-prediction ratios and error-bar coverage outcomes.

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.common.errors import QueryRejectedError
-from repro.service.metrics import percentile_of
+from repro.obs import percentile_of
 
 
 def jain_index(values: list[float]) -> float:

@@ -34,6 +34,7 @@ _EXPORTS = {
     "LabeledHistogram": "repro.obs.registry",
     "MetricsRegistry": "repro.obs.registry",
     "SummaryWindow": "repro.obs.registry",
+    "percentile_of": "repro.obs.registry",
     "AccuracyLedger": "repro.obs.ledger",
     "template_label_of": "repro.obs.ledger",
     "AnalyzeResult": "repro.obs.analyze",

@@ -26,18 +26,12 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
+
+from repro.obs.registry import percentile_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps obs dependency-free
     from repro.planner.logical import LogicalPlan
-
-
-def percentile_of(values: Sequence[float], fraction: float) -> float:
-    """The ``fraction``-quantile (nearest-rank) of a collection of values."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    return ordered[min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))]
 
 
 def template_label_of(logical: "LogicalPlan") -> str:

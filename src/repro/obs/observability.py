@@ -14,8 +14,10 @@ wires the three tentpole pieces together:
 
 :meth:`observe_query` is the single sink the runtime reports every
 execution through — it bumps the native instruments and feeds the ledger —
-and the ``register_*`` helpers absorb pre-existing metric surfaces
-(runtime stats, service metrics, ingest counters) as pull-collectors.
+and :meth:`register_stats` reads stats surfaces owned elsewhere (runtime
+lifetime counters, ingest counters) through pull-collectors.  Query
+services need no registration: their counters are native instruments
+(:mod:`repro.service.metrics`).
 """
 
 from __future__ import annotations
@@ -107,41 +109,6 @@ class Observability:
                     gauge.set(float(value), name=name)
 
         self.registry.register_collector(collect, key=("stats", metric))
-
-    def register_service(self, service: object) -> None:
-        """Mirror one :class:`~repro.service.server.QueryService`'s metrics.
-
-        Absorbs the service's counters, cache statistics, and latency
-        summaries into labeled instruments (one ``service=<name>`` series
-        per attached service).
-        """
-        queries = self.registry.gauge(
-            "service_queries", "Service query lifecycle counters", ("service", "state")
-        )
-        cache = self.registry.gauge(
-            "service_cache", "Service result-cache statistics", ("service", "stat")
-        )
-        latency = self.registry.gauge(
-            "service_latency_seconds",
-            "Service latency summaries (windowed quantiles)",
-            ("service", "stage", "stat"),
-        )
-        name = str(getattr(service, "name", None) or "service")
-
-        def collect() -> None:
-            metrics = getattr(service, "metrics", None)
-            if metrics is None:
-                return
-            described = metrics.describe()
-            for state, value in described.get("queries", {}).items():
-                queries.set(float(value), service=name, state=state)
-            for stat, value in described.get("cache", {}).items():
-                cache.set(float(value), service=name, stat=stat)
-            for stage, summary in described.get("latency", {}).items():
-                for stat, value in summary.items():
-                    latency.set(float(value), service=name, stage=stage, stat=stat)
-
-        self.registry.register_collector(collect, key=("service", name))
 
     # -- built-in collectors -------------------------------------------------------------
     def _collect_tracer(self) -> None:

@@ -1,11 +1,7 @@
-"""The unified metrics registry: one namespace over every counter surface.
+"""The unified metrics registry: one labeled namespace over every counter.
 
-Before this module, operational counters were scattered — per-service
-:class:`~repro.service.metrics.ServiceMetrics`, the runtime's lifetime
-counters, the executor's zone-map scan counters, the selector's probe memo,
-and per-table ingest gauges — each with its own ``describe()`` shape.
-:class:`MetricsRegistry` absorbs them into one labeled namespace with two
-exposition formats:
+:class:`MetricsRegistry` holds named instruments with two exposition
+formats:
 
 * ``db.metrics()`` — a JSON-friendly nested dict (dashboards, tests);
 * ``db.metrics_text()`` — Prometheus-style text exposition
@@ -14,14 +10,16 @@ exposition formats:
 Instruments are **labeled**: one :class:`LabeledCounter` named
 ``queries_total`` holds a child per label set (``mode="approximate"``,
 ``mode="exact"`` …), exactly like a Prometheus client.  Instruments with no
-label names hold a single anonymous child.
+label names hold a single anonymous child.  Hot paths resolve their child
+once (``counter.child(service="s1", state="completed")``) and update the
+bound handle, which costs one uncontended lock and no label lookup; the
+query service keeps its counters and latency windows this way.
 
-Pre-existing surfaces are absorbed by **collectors** — callbacks registered
-with :meth:`MetricsRegistry.register_collector` that refresh gauges/summaries
-from their owning objects at exposition time.  The owners keep their
-internally-locked counters (and their existing ``describe()`` contracts);
-the registry is the read side, so absorption adds zero cost to the paths
-that increment them.
+Surfaces whose owners keep their own counters (runtime lifetime stats,
+per-table ingest counters, the tracer, the accuracy ledger) are read by
+**collectors** — callbacks registered with
+:meth:`MetricsRegistry.register_collector` that refresh gauges at
+exposition time, adding nothing to the paths that increment them.
 
 Everything is thread-safe: creation races resolve to one instrument, and
 each instrument guards its children map with its own lock (hammered by
@@ -65,7 +63,12 @@ def _format_value(value: float) -> str:
 
 
 class _Instrument:
-    """Shared labeled-children machinery of counters and gauges."""
+    """Shared labeled-children machinery: one child object per label set.
+
+    :meth:`child` resolves (get-or-create) the handle for one label set; hot
+    paths resolve it once and keep it, so each update costs the child's own
+    lock and no label lookup.  :meth:`remove` retires a source's series.
+    """
 
     kind = "untyped"
 
@@ -74,22 +77,95 @@ class _Instrument:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
-        self._children: dict[LabelValues, float] = {}
+        self._children: dict[LabelValues, object] = {}
 
-    def _key(self, labels: Mapping[str, object]) -> LabelValues:
-        return _label_key(self.labelnames, labels)
+    def _new_child(self):
+        raise NotImplementedError
 
-    def value(self, **labels: object) -> float:
+    def child(self, **labels: object):
+        """The child for one label set, created on first use."""
+        key = _label_key(self.labelnames, labels)
         with self._lock:
-            return self._children.get(self._key(labels), 0.0)
+            child = self._children.get(key)
+            if child is None:
+                child = self._children[key] = self._new_child()
+            return child
 
-    def samples(self) -> list[tuple[LabelValues, float]]:
+    def remove(self, **labels: object) -> None:
+        """Drop every child whose label set includes ``labels`` (all if none).
+
+        Handles already resolved keep working but are no longer exposed; the
+        next :meth:`child` call for a removed label set starts from zero.
+        """
+        match = {(name, str(value)) for name, value in labels.items()}
+        with self._lock:
+            for key in [key for key in self._children if match <= set(key)]:
+                del self._children[key]
+
+    def _items(self) -> list[tuple[LabelValues, object]]:
         with self._lock:
             return sorted(self._children.items())
 
-    def clear(self) -> None:
+    def _header(self, full: str) -> list[str]:
+        lines = [f"# HELP {full} {self.help}"] if self.help else []
+        lines.append(f"# TYPE {full} {self.kind}")
+        return lines
+
+
+class _Cell:
+    """One label set's value, guarded so concurrent updates are never lost."""
+
+    __slots__ = ("_lock", "_value")
+
+    def __init__(self, initial: float = 0) -> None:
+        self._lock = threading.Lock()
+        self._value = initial
+
+    def _add(self, amount: float) -> float:
         with self._lock:
-            self._children.clear()
+            self._value += amount
+            return self._value
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+
+class CounterChild(_Cell):
+    """A bound counter handle (see :meth:`LabeledCounter.child`)."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1) -> float:
+        if amount < 0:
+            raise ValueError("counters only go up; use a gauge")
+        return self._add(amount)
+
+
+class GaugeChild(_Cell):
+    """A bound gauge handle (see :meth:`LabeledGauge.child`)."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._value = float(value)
+
+    def inc(self, amount: float = 1) -> float:
+        return self._add(amount)
+
+
+class _Scalar(_Instrument):
+    """Counters and gauges: one number per label set."""
+
+    def value(self, **labels: object) -> float:
+        key = _label_key(self.labelnames, labels)
+        with self._lock:
+            child = self._children.get(key)
+        return child.value if child is not None else 0.0
+
+    def samples(self) -> list[tuple[LabelValues, float]]:
+        return [(key, child.value) for key, child in self._items()]
 
     def describe(self) -> dict[str, object]:
         samples = self.samples()
@@ -103,10 +179,7 @@ class _Instrument:
 
     def render(self, prefix: str) -> list[str]:
         full = f"{prefix}{self.name}"
-        lines = []
-        if self.help:
-            lines.append(f"# HELP {full} {self.help}")
-        lines.append(f"# TYPE {full} {self.kind}")
+        lines = self._header(full)
         samples = self.samples()
         if not samples and not self.labelnames:
             # An unlabeled instrument always has a current value (zero); a
@@ -117,49 +190,54 @@ class _Instrument:
         return lines
 
 
-class LabeledCounter(_Instrument):
+class LabeledCounter(_Scalar):
     """A monotonically increasing counter with one child per label set."""
 
     kind = "counter"
 
+    def _new_child(self) -> CounterChild:
+        return CounterChild()
+
     def inc(self, amount: float = 1, **labels: object) -> float:
-        if amount < 0:
-            raise ValueError("counters only go up; use a gauge")
-        key = self._key(labels)
-        with self._lock:
-            value = self._children.get(key, 0.0) + amount
-            self._children[key] = value
-            return value
+        return self.child(**labels).inc(amount)
 
 
-class LabeledGauge(_Instrument):
+class LabeledGauge(_Scalar):
     """A last-value gauge with one child per label set."""
 
     kind = "gauge"
 
+    def _new_child(self) -> GaugeChild:
+        return GaugeChild(0.0)
+
     def set(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = float(value)
+        self.child(**labels).set(value)
 
     def inc(self, amount: float = 1, **labels: object) -> float:
-        key = self._key(labels)
-        with self._lock:
-            value = self._children.get(key, 0.0) + amount
-            self._children[key] = value
-            return value
+        return self.child(**labels).inc(amount)
+
+
+def percentile_of(values: Iterable[float], fraction: float) -> float:
+    """The ``fraction``-quantile (nearest-rank) of a collection of values.
+
+    The element at index ``round(fraction * (n - 1))`` of the sorted values;
+    ``0.0`` for an empty collection.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("percentile fraction must be in [0, 1]")
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))]
 
 
 class SummaryWindow:
     """Observations with exact quantiles over a sliding window (thread-safe).
 
-    Same summary shape as the service layer's
-    :class:`~repro.service.metrics.LatencyHistogram` — ``count``/``mean_s``
-    are lifetime, the quantiles and ``max_s`` describe the most recent
-    ``window`` observations, and the lifetime maximum is reported separately
-    as ``max_lifetime_s`` — so mirrored and native series render identically.
-    (Kept dependency-free here: :mod:`repro.obs` must not import the service
-    layer, whose package initializer pulls in the runtime.)
+    ``count`` and ``mean_s`` cover the whole lifetime; the quantiles and
+    ``max_s`` describe the most recent ``window`` observations, and the
+    lifetime maximum is reported separately as ``max_lifetime_s`` so a
+    dashboard can tell "slow lately" apart from "slow once, ever".
     """
 
     __slots__ = ("_lock", "_window", "_count", "_total", "_max")
@@ -172,11 +250,13 @@ class SummaryWindow:
         self._max = 0.0
 
     def observe(self, seconds: float) -> None:
+        seconds = float(seconds)
         with self._lock:
-            self._window.append(float(seconds))
+            self._window.append(seconds)
             self._count += 1
-            self._total += float(seconds)
-            self._max = max(self._max, float(seconds))
+            self._total += seconds
+            if seconds > self._max:
+                self._max = seconds
 
     @property
     def count(self) -> int:
@@ -189,25 +269,19 @@ class SummaryWindow:
             mean = self._total / count if count else 0.0
             lifetime_max = self._max
             ordered = sorted(self._window)
-
-        def quantile(f: float) -> float:
-            if not ordered:
-                return 0.0
-            return ordered[min(len(ordered) - 1, int(round(f * (len(ordered) - 1))))]
-
         return {
             "count": count,
             "mean_s": mean,
-            "p50_s": quantile(0.50),
-            "p90_s": quantile(0.90),
-            "p95_s": quantile(0.95),
-            "p99_s": quantile(0.99),
+            "p50_s": percentile_of(ordered, 0.50),
+            "p90_s": percentile_of(ordered, 0.90),
+            "p95_s": percentile_of(ordered, 0.95),
+            "p99_s": percentile_of(ordered, 0.99),
             "max_s": ordered[-1] if ordered else 0.0,
             "max_lifetime_s": lifetime_max,
         }
 
 
-class LabeledHistogram:
+class LabeledHistogram(_Instrument):
     """Windowed quantiles per label set (Prometheus summary shape)."""
 
     kind = "summary"
@@ -221,29 +295,17 @@ class LabeledHistogram:
         labelnames: Iterable[str] = (),
         window: int = 8192,
     ) -> None:
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
+        super().__init__(name, help, labelnames)
         self.window = window
-        self._lock = threading.Lock()
-        self._children: dict[LabelValues, SummaryWindow] = {}
 
-    def child(self, **labels: object) -> SummaryWindow:
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            histogram = self._children.get(key)
-            if histogram is None:
-                histogram = SummaryWindow(window=self.window)
-                self._children[key] = histogram
-            return histogram
+    def _new_child(self) -> SummaryWindow:
+        return SummaryWindow(window=self.window)
 
     def observe(self, seconds: float, **labels: object) -> None:
         self.child(**labels).observe(seconds)
 
     def summaries(self) -> list[tuple[LabelValues, dict[str, float]]]:
-        with self._lock:
-            children = sorted(self._children.items())
-        return [(key, histogram.summary()) for key, histogram in children]
+        return [(key, window.summary()) for key, window in self._items()]
 
     def describe(self) -> dict[str, object]:
         summaries = self.summaries()
@@ -257,10 +319,7 @@ class LabeledHistogram:
 
     def render(self, prefix: str) -> list[str]:
         full = f"{prefix}{self.name}"
-        lines = []
-        if self.help:
-            lines.append(f"# HELP {full} {self.help}")
-        lines.append(f"# TYPE {full} summary")
+        lines = self._header(full)
         for key, summary in self.summaries():
             for quantile, source in self._QUANTILES:
                 qkey = key + (("quantile", quantile),)

@@ -23,13 +23,14 @@ Design constraints, in order:
 * **Trees are inspectable, not just printable.**  ``find``/``spans`` walk the
   tree, ``to_dict`` is JSON-friendly, ``render`` is the human view.
 
-Sampling is a credit accumulator rather than an RNG: at rate ``r`` exactly
-``ceil(r * n)`` of any ``n`` ``begin()`` calls are traced, which keeps tests
-and benchmarks deterministic.
+Sampling is counted rather than random: at rate ``r`` the first ``n``
+unforced ``begin()`` calls trace exactly ``floor(round(r * n, 9))`` of them,
+evenly spaced, which keeps tests and benchmarks deterministic.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Iterator
 
@@ -299,11 +300,16 @@ AnySpan = Span | _NullSpan
 class SpanTracer:
     """Creates (or declines to create) one :class:`QueryTrace` per query.
 
-    ``sample_rate`` trades trace coverage for hot-path cost: each ``begin()``
-    adds the rate to a credit accumulator and traces when a whole credit is
-    available, so tracing decisions are deterministic and evenly spaced.
+    ``sample_rate`` trades trace coverage for hot-path cost.  The decision
+    is made from integer counts, so it cannot drift: the ``k``-th unforced
+    ``begin()`` is traced when ``floor(round(k * sample_rate, 9))`` exceeds
+    the number of unforced begins traced so far.  After ``n`` unforced
+    begins exactly ``floor(round(n * sample_rate, 9))`` have been traced
+    (``n`` of ``n`` at rate 1, none at rate 0), evenly spaced.  Assigning a
+    new ``sample_rate`` starts the count again from ``k = 1``.
     ``force=True`` (EXPLAIN ANALYZE) bypasses sampling — and the disabled
-    switch — because the caller is about to render the trace.
+    switch — because the caller is about to render the trace; forced begins
+    do not count towards the sampling schedule.
     """
 
     def __init__(
@@ -318,9 +324,12 @@ class SpanTracer:
         self.sample_rate = sample_rate
         self.clock = clock
         self._lock = threading.Lock()
-        self._credit = 0.0
         self._started = 0
         self._sampled = 0
+        # Unforced begins seen at the current rate, and how many were traced.
+        self._schedule_rate = sample_rate
+        self._unforced = 0
+        self._unforced_sampled = 0
 
     def begin(self, name: str = "query", force: bool = False, **attrs: object) -> AnyTrace:
         """A new trace for one query, or :data:`NULL_TRACE` when not sampled."""
@@ -329,10 +338,14 @@ class SpanTracer:
             if not force:
                 if not self.enabled or self.sample_rate <= 0.0:
                     return NULL_TRACE
-                self._credit += self.sample_rate
-                if self._credit < 1.0:
+                if self.sample_rate != self._schedule_rate:
+                    self._schedule_rate = self.sample_rate
+                    self._unforced = self._unforced_sampled = 0
+                self._unforced += 1
+                due = math.floor(round(self._unforced * self.sample_rate, 9))
+                if due <= self._unforced_sampled:
                     return NULL_TRACE
-                self._credit -= 1.0
+                self._unforced_sampled += 1
             self._sampled += 1
         return QueryTrace(name, clock=self.clock, **attrs)
 

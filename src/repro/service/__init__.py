@@ -6,8 +6,8 @@ multi-client service: client sessions with per-session bound defaults
 scheduling (:mod:`~repro.service.scheduler`), a template-keyed result cache
 with generation-fenced invalidation (:mod:`~repro.service.cache`), a worker
 pool serving tickets (:mod:`~repro.service.server`), load generators
-(:mod:`~repro.service.loadgen`), and service metrics
-(:mod:`~repro.service.metrics`).
+(:mod:`~repro.service.loadgen`), and the service's handles into the
+facade's metrics registry (:mod:`~repro.service.metrics`).
 
 Entry points: ``BlinkDB.serve()`` and ``BlinkDB.connect()``.
 """
@@ -15,7 +15,7 @@ Entry points: ``BlinkDB.serve()`` and ``BlinkDB.connect()``.
 from repro.runtime.partitioned import ProgressiveSnapshot
 from repro.service.cache import ResultCache, cache_key, template_label
 from repro.service.loadgen import LoadReport, mixed_bound_trace, run_closed_loop, run_open_loop
-from repro.service.metrics import Counter, LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import Admission, DeadlineScheduler, ScheduledItem
 from repro.service.server import QueryService, QueryTicket, TicketMetrics
 from repro.service.session import ClientSession, QueryRecord, SessionDefaults
@@ -23,9 +23,7 @@ from repro.service.session import ClientSession, QueryRecord, SessionDefaults
 __all__ = [
     "Admission",
     "ClientSession",
-    "Counter",
     "DeadlineScheduler",
-    "LatencyHistogram",
     "LoadReport",
     "ProgressiveSnapshot",
     "QueryRecord",

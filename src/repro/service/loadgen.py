@@ -24,7 +24,7 @@ from typing import Sequence
 
 from repro.common.clock import monotonic
 from repro.common.rng import make_rng
-from repro.service.metrics import percentile_of
+from repro.obs import percentile_of
 from repro.service.server import QueryService, QueryTicket
 from repro.service.session import SessionDefaults
 from repro.sql.templates import QueryTemplate

@@ -1,241 +1,117 @@
-"""Service-level counters and latency histograms.
+"""Service-level counters and latency windows, bound into the metrics registry.
 
-The serving layer's observability surface: thread-safe counters for the
-admission/caching life cycle of queries, plus windowed latency histograms for
-queue wait, wall-clock service time, end-to-end latency, and the simulated
-cluster latency.  Everything is exposed as plain dictionaries through
-:meth:`ServiceMetrics.describe` so ``QueryService.describe()`` stays
-JSON-friendly.
+Every :class:`~repro.service.server.QueryService` reports through the
+facade's :class:`~repro.obs.registry.MetricsRegistry` (``db.obs.registry``)
+under the label ``service=<name>``:
+
+* ``service_queries{service, state}`` — the admission/caching life cycle;
+* ``service_cache{service, stat}`` — result-cache hits, misses and
+  invalidations;
+* ``service_latency_seconds{service, stage}`` — windowed summaries of queue
+  wait, wall-clock service time, end-to-end latency and the simulated
+  cluster latency;
+* ``service_template_queries{service, template, stat}`` — queries and cache
+  hits per query template.
+
+:class:`ServiceMetrics` resolves each child once, at construction, so the
+per-query path updates bound handles without a label lookup.
+:meth:`ServiceMetrics.close` removes the service's series again.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from typing import Iterable, Sequence
+from typing import Mapping
 
-
-def percentile_of(values: Iterable[float], fraction: float) -> float:
-    """The ``fraction``-quantile (nearest-rank) of a collection of values."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("percentile fraction must be in [0, 1]")
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    return _indexed_percentile(ordered, fraction)
-
-
-def _indexed_percentile(ordered: Sequence[float], fraction: float) -> float:
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
-class Counter:
-    """A thread-safe monotonically increasing counter."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def increment(self, amount: int = 1) -> int:
-        with self._lock:
-            self._value += amount
-            return self._value
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A thread-safe last-value gauge (mirrors counters owned elsewhere).
-
-    The probe-memo counters live on the runtime's selector (they survive
-    across services and are fenced by the runtime's lifetime); the service
-    mirrors them here so one ``ServiceMetrics.describe()`` call captures the
-    whole serving surface.
-    """
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def set(self, value: int) -> None:
-        with self._lock:
-            self._value = int(value)
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-class LatencyHistogram:
-    """Latency observations with exact percentiles over a sliding window.
-
-    The window keeps the most recent ``window`` observations (service runs in
-    the millions of queries are summarised by their recent behaviour, which
-    is what an operator dashboards anyway); ``count`` and ``total`` cover the
-    whole lifetime.
-    """
-
-    def __init__(self, window: int = 8192) -> None:
-        self._lock = threading.Lock()
-        self._window: deque[float] = deque(maxlen=window)
-        self._count = 0
-        self._total = 0.0
-        self._max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        with self._lock:
-            self._window.append(float(seconds))
-            self._count += 1
-            self._total += float(seconds)
-            self._max = max(self._max, float(seconds))
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self._total / self._count if self._count else 0.0
-
-    def percentile(self, fraction: float) -> float:
-        """The ``fraction``-quantile (e.g. 0.95) of the windowed observations."""
-        with self._lock:
-            window = list(self._window)
-        return percentile_of(window, fraction)
-
-    def summary(self) -> dict[str, float]:
-        with self._lock:
-            count = self._count
-            mean = self._total / count if count else 0.0
-            lifetime_max = self._max
-            window = list(self._window)
-        ordered = sorted(window)
-
-        def quantile(f: float) -> float:
-            return _indexed_percentile(ordered, f) if ordered else 0.0
-
-        # ``max_s`` describes the same window as the quantiles; the lifetime
-        # maximum is still available under its own key so a dashboard can
-        # tell "slow lately" apart from "slow once, ever".
-        return {
-            "count": count,
-            "mean_s": mean,
-            "p50_s": quantile(0.50),
-            "p90_s": quantile(0.90),
-            "p95_s": quantile(0.95),
-            "p99_s": quantile(0.99),
-            "max_s": ordered[-1] if ordered else 0.0,
-            "max_lifetime_s": lifetime_max,
-        }
+from repro.obs.registry import CounterChild, MetricsRegistry
 
 
 class ServiceMetrics:
-    """All counters and histograms of one :class:`~repro.service.server.QueryService`."""
+    """One service's bound handles into the registry, plus a ``describe()`` view."""
 
-    def __init__(self) -> None:
-        self.submitted = Counter()
-        self.admitted = Counter()
-        self.shed_deadline = Counter()
-        self.shed_queue_full = Counter()
-        self.shed_quota = Counter()
-        self.cancelled = Counter()
-        self.completed = Counter()
-        self.failed = Counter()
-        self.retries = Counter()
-        self.cache_hits = Counter()
-        self.cache_misses = Counter()
-        self.cache_invalidations = Counter()
-        self.explained = Counter()
-        self.probe_cache_hits = Gauge()
-        self.probe_cache_misses = Gauge()
-        # Zone-mapped scan counters, mirrored from the runtime's executor
-        # (they are fenced by the runtime's lifetime, like the probe memo).
-        self.scan_blocks_total = Gauge()
-        self.scan_blocks_skipped = Gauge()
-        self.scan_bytes_scanned = Gauge()
-        self.scan_bytes_skipped = Gauge()
-        self.queue_wait = LatencyHistogram()
-        self.service_time = LatencyHistogram()
-        self.total_latency = LatencyHistogram()
-        self.simulated_latency = LatencyHistogram()
-        self._template_lock = threading.Lock()
-        self._template_counts: dict[str, int] = {}
-        self._template_cache_hits: dict[str, int] = {}
-        # Streaming-ingest gauges, mirrored per table from the facade's
-        # ingest counters (rows/s, batches, escalations, sample staleness).
-        self._ingest_lock = threading.Lock()
-        self._ingest: dict[str, dict[str, object]] = {}
-
-    @property
-    def shed(self) -> int:
-        """Total queries rejected by admission control (all reasons)."""
-        return (
-            self.shed_deadline.value
-            + self.shed_queue_full.value
-            + self.shed_quota.value
+    def __init__(self, registry: MetricsRegistry, name: str) -> None:
+        self.name = name
+        self._queries = registry.counter(
+            "service_queries", "Service query lifecycle counters", ("service", "state")
+        )
+        self._cache = registry.counter(
+            "service_cache", "Service result-cache statistics", ("service", "stat")
+        )
+        self._latency = registry.histogram(
+            "service_latency_seconds",
+            "Service latency summaries (windowed quantiles)",
+            ("service", "stage"),
+        )
+        self._templates = registry.counter(
+            "service_template_queries",
+            "Service queries and result-cache hits per query template",
+            ("service", "template", "stat"),
         )
 
+        def state(label: str) -> CounterChild:
+            return self._queries.child(service=name, state=label)
+
+        self.submitted = state("submitted")
+        self.admitted = state("admitted")
+        self.completed = state("completed")
+        self.failed = state("failed")
+        self.retries = state("retries")
+        self.explained = state("explained")
+        self.shed_deadline = state("shed_deadline")
+        self.shed_queue_full = state("shed_queue_full")
+        self.shed_quota = state("shed_quota")
+        self.cancelled = state("cancelled")
+        self.cache_hits = self._cache.child(service=name, stat="hits")
+        self.cache_misses = self._cache.child(service=name, stat="misses")
+        self.cache_invalidations = self._cache.child(service=name, stat="invalidations")
+        self.queue_wait = self._latency.child(service=name, stage="queue_wait")
+        self.service_time = self._latency.child(service=name, stage="service_time")
+        self.total_latency = self._latency.child(service=name, stage="total")
+        self.simulated_latency = self._latency.child(service=name, stage="simulated")
+        # Template label -> (queries, cache hits) handles, resolved on first use.
+        self._template_handles: dict[str, tuple[CounterChild, CounterChild]] = {}
+
+    def close(self) -> None:
+        """Remove this service's series from the registry.
+
+        The handles keep their values, so a closed service can still be
+        inspected; a later service with the same name starts from zero.
+        """
+        for instrument in (self._queries, self._cache, self._latency, self._templates):
+            instrument.remove(service=self.name)
+
     def record_template(self, label: str, cache_hit: bool) -> None:
-        with self._template_lock:
-            self._template_counts[label] = self._template_counts.get(label, 0) + 1
-            if cache_hit:
-                self._template_cache_hits[label] = self._template_cache_hits.get(label, 0) + 1
+        handles = self._template_handles.get(label)
+        if handles is None:
+            handles = self._template_handles.setdefault(
+                label,
+                (
+                    self._templates.child(service=self.name, template=label, stat="queries"),
+                    self._templates.child(service=self.name, template=label, stat="cache_hits"),
+                ),
+            )
+        handles[0].inc()
+        if cache_hit:
+            handles[1].inc()
 
     def template_counts(self) -> dict[str, dict[str, int]]:
-        with self._template_lock:
-            return {
-                label: {
-                    "queries": count,
-                    "cache_hits": self._template_cache_hits.get(label, 0),
-                }
-                for label, count in sorted(self._template_counts.items())
-            }
+        return {
+            label: {"queries": queries.value, "cache_hits": hits.value}
+            for label, (queries, hits) in sorted(self._template_handles.items())
+        }
 
-    def cache_hit_ratio(self) -> float:
-        hits = self.cache_hits.value
-        lookups = hits + self.cache_misses.value
-        return hits / lookups if lookups else 0.0
-
-    def update_probe_cache(self, hits: int, misses: int) -> None:
-        """Mirror the runtime's probe-memo counters (see :class:`Gauge`)."""
-        self.probe_cache_hits.set(hits)
-        self.probe_cache_misses.set(misses)
-
-    def update_ingest(self, per_table: dict[str, dict[str, object]]) -> None:
-        """Mirror the facade's per-table ingest counters (see :class:`Gauge`)."""
-        with self._ingest_lock:
-            self._ingest = {table: dict(stats) for table, stats in per_table.items()}
-
-    def ingest_summary(self) -> dict[str, dict[str, object]]:
-        with self._ingest_lock:
-            return {table: dict(stats) for table, stats in self._ingest.items()}
-
-    def update_scan_counters(
+    def describe(
         self,
-        blocks_total: int,
-        blocks_skipped: int,
-        bytes_scanned: int,
-        bytes_skipped: int = 0,
-    ) -> None:
-        """Mirror the runtime's zone-mapped scan counters (see :class:`Gauge`)."""
-        self.scan_blocks_total.set(blocks_total)
-        self.scan_blocks_skipped.set(blocks_skipped)
-        self.scan_bytes_scanned.set(bytes_scanned)
-        self.scan_bytes_skipped.set(bytes_skipped)
+        runtime_stats: Mapping[str, int] | None = None,
+        ingest: Mapping[str, dict[str, object]] | None = None,
+    ) -> dict[str, object]:
+        """A JSON-friendly snapshot of every counter and latency window.
 
-    def describe(self) -> dict[str, object]:
-        """A JSON-friendly snapshot of every counter and histogram."""
+        ``runtime_stats`` (the runtime's lifetime counters) supplies the
+        probe-memo and zone-mapped scan numbers and ``ingest`` the per-table
+        ingest counters; both are owned elsewhere and only read here.
+        """
+        stats = runtime_stats or {}
+        hits, misses = self.cache_hits.value, self.cache_misses.value
         return {
             "queries": {
                 "submitted": self.submitted.value,
@@ -250,22 +126,22 @@ class ServiceMetrics:
                 "cancelled": self.cancelled.value,
             },
             "cache": {
-                "hits": self.cache_hits.value,
-                "misses": self.cache_misses.value,
-                "hit_ratio": round(self.cache_hit_ratio(), 4),
+                "hits": hits,
+                "misses": misses,
+                "hit_ratio": round(hits / (hits + misses), 4) if hits + misses else 0.0,
                 "invalidations": self.cache_invalidations.value,
             },
             "probe_cache": {
-                "hits": self.probe_cache_hits.value,
-                "misses": self.probe_cache_misses.value,
+                "hits": stats.get("probe_cache_hits", 0),
+                "misses": stats.get("probe_cache_misses", 0),
             },
             "scan": {
-                "blocks_total": self.scan_blocks_total.value,
-                "blocks_skipped": self.scan_blocks_skipped.value,
-                "bytes_scanned": self.scan_bytes_scanned.value,
-                "bytes_skipped": self.scan_bytes_skipped.value,
+                "blocks_total": stats.get("blocks_total", 0),
+                "blocks_skipped": stats.get("blocks_skipped", 0),
+                "bytes_scanned": stats.get("bytes_scanned", 0),
+                "bytes_skipped": stats.get("bytes_total", 0) - stats.get("bytes_scanned", 0),
             },
-            "ingest": self.ingest_summary(),
+            "ingest": dict(ingest or {}),
             "latency": {
                 "queue_wait": self.queue_wait.summary(),
                 "service_time": self.service_time.summary(),

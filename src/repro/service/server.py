@@ -358,7 +358,7 @@ class QueryService:
                 deadline_slack=deadline_slack,
                 clock=clock,
             )
-        self.metrics = ServiceMetrics()
+        self.metrics = ServiceMetrics(db.obs.registry, self.name)
         self.default_predicted_seconds = default_predicted_seconds
         self._ewma_alpha = ewma_alpha
         self._ewma_lock = threading.Lock()
@@ -370,9 +370,6 @@ class QueryService:
         self._closed = False
         self.started_at = time.time()
         db._attach_service(self)
-        # Expose this service's counters/latency summaries through the
-        # facade's unified metrics registry (labeled by service name).
-        db.obs.register_service(self)
         if autostart:
             self.start()
 
@@ -413,6 +410,7 @@ class QueryService:
         # failed rather than silently dropped.
         self._fail_queued(self.scheduler.drain())
         self.db._detach_service(self)
+        self.metrics.close()
 
     def _fail_queued(self, items: list[ScheduledItem]) -> None:
         for item in items:
@@ -421,7 +419,7 @@ class QueryService:
                 continue
             ticket = work.ticket
             self._release_ticket_quota(ticket, completed=False)
-            self.metrics.failed.increment()
+            self.metrics.failed.inc()
             ticket._fail(
                 QueryRejectedError(
                     "query service closed before this query started",
@@ -512,15 +510,15 @@ class QueryService:
             request_id=request_id,
         )
         ticket._service = self
-        self.metrics.submitted.increment()
+        self.metrics.submitted.inc()
 
         key = cache_key(query)
         label = template_label(query)
         if self.cache is not None and not analyze:
             cached = self.cache.get(key)
             if cached is not None:
-                self.metrics.cache_hits.increment()
-                self.metrics.completed.increment()
+                self.metrics.cache_hits.inc()
+                self.metrics.completed.inc()
                 self.metrics.record_template(label, cache_hit=True)
                 ticket.metrics.admission = "cache-hit"
                 ticket.metrics.cache_hit = True
@@ -531,7 +529,7 @@ class QueryService:
                 self.metrics.total_latency.observe(self.clock() - ticket.submitted_at)
                 ticket._resolve(cached)
                 return ticket
-            self.metrics.cache_misses.increment()
+            self.metrics.cache_misses.inc()
 
         time_bound = query.time_bound.seconds if query.time_bound is not None else None
         predicted = self._predict_seconds(label, time_bound)
@@ -543,7 +541,7 @@ class QueryService:
         if self.tenants is not None:
             verdict = self.tenants.try_acquire(tenant)
             if not verdict.admitted:
-                self.metrics.shed_quota.increment()
+                self.metrics.shed_quota.inc()
                 self.metrics.record_template(label, cache_hit=False)
                 ticket.metrics.admission = Admission.SHED_QUOTA.value
                 ticket._fail(
@@ -574,19 +572,19 @@ class QueryService:
         if not admission.admitted:
             self._release_ticket_quota(ticket, completed=False)
             if admission is Admission.SHED_DEADLINE:
-                self.metrics.shed_deadline.increment()
+                self.metrics.shed_deadline.inc()
                 reason = (
                     f"predicted completion ({self.scheduler.predicted_backlog_seconds() / self.num_workers + predicted:.2f}s) "
                     f"misses the {time_bound:.2f}s deadline"
                 )
             else:
-                self.metrics.shed_queue_full.increment()
+                self.metrics.shed_queue_full.inc()
                 reason = "queue full"
             self.metrics.record_template(label, cache_hit=False)
             ticket._fail(QueryRejectedError(f"query shed: {reason}", reason=admission.value))
             return ticket
         ticket._scheduled_item = item
-        self.metrics.admitted.increment()
+        self.metrics.admitted.inc()
         return ticket
 
     def _release_ticket_quota(self, ticket: QueryTicket, *, completed: bool, rows_read: int = 0) -> None:
@@ -608,7 +606,7 @@ class QueryService:
         self._release_ticket_quota(ticket, completed=False)
         if self.tenants is not None and ticket.tenant is not None:
             self.tenants.record_cancelled(ticket.tenant)
-        self.metrics.cancelled.increment()
+        self.metrics.cancelled.inc()
         self.metrics.record_template(
             template_label(ticket.query), cache_hit=False
         )
@@ -634,19 +632,19 @@ class QueryService:
             query = session.apply_defaults(query)
         raw = sql if isinstance(sql, str) else (statement.raw_sql or str(statement))
         ticket = QueryTicket(raw, query, session, progressive=False, clock=self.clock)
-        self.metrics.submitted.increment()
+        self.metrics.submitted.inc()
         ticket.metrics.admission = "explain"
         started = self.clock()
         try:
             with self.db.state_lock.read_locked():
                 plan = self.db.runtime.explain(query)
         except Exception as error:  # noqa: BLE001 - the ticket transports the error
-            self.metrics.failed.increment()
+            self.metrics.failed.inc()
             ticket._fail(error)
             return ticket
         ticket.metrics.service_seconds = self.clock() - started
         ticket.metrics.queue_wait_seconds = 0.0
-        self.metrics.explained.increment()
+        self.metrics.explained.inc()
         ticket._resolve(ExplainResult(plan=plan, text=plan.render()))
         return ticket
 
@@ -665,7 +663,7 @@ class QueryService:
         if self.cache is None:
             return 0
         dropped = self.cache.invalidate(reason)
-        self.metrics.cache_invalidations.increment()
+        self.metrics.cache_invalidations.inc()
         return dropped
 
     def invalidate_cache_table(self, table: str, reason: str = "table-append") -> int:
@@ -679,7 +677,7 @@ class QueryService:
         if self.cache is None:
             return 0
         dropped = self.cache.invalidate_table(table, reason)
-        self.metrics.cache_invalidations.increment()
+        self.metrics.cache_invalidations.inc()
         return dropped
 
     # -- worker loop ---------------------------------------------------------------
@@ -757,7 +755,7 @@ class QueryService:
                 break
             except QueryRejectedError as error:
                 ticket.metrics.service_seconds = self.clock() - started
-                self.metrics.failed.increment()
+                self.metrics.failed.inc()
                 self.metrics.record_template(work.label, cache_hit=False)
                 self._release_ticket_quota(ticket, completed=False)
                 ticket._fail(error)
@@ -765,7 +763,7 @@ class QueryService:
             except Exception as error:  # noqa: BLE001 - the ticket transports the error
                 if attempt < self.retries:
                     attempt += 1
-                    self.metrics.retries.increment()
+                    self.metrics.retries.inc()
                     if trace.sampled:
                         now = self.clock()
                         trace.root.record_span(
@@ -780,7 +778,7 @@ class QueryService:
                     )
                     continue
                 ticket.metrics.service_seconds = self.clock() - started
-                self.metrics.failed.increment()
+                self.metrics.failed.inc()
                 self.metrics.record_template(work.label, cache_hit=False)
                 self._release_ticket_quota(ticket, completed=False)
                 ticket._fail(error)
@@ -807,7 +805,7 @@ class QueryService:
         self.metrics.service_time.observe(service_seconds)
         if simulated is not None:
             self.metrics.simulated_latency.observe(simulated)
-        self.metrics.completed.increment()
+        self.metrics.completed.inc()
         self.metrics.record_template(work.label, cache_hit=False)
         self.metrics.total_latency.observe(self.clock() - ticket.submitted_at)
         self._release_ticket_quota(
@@ -849,19 +847,6 @@ class QueryService:
     # -- introspection ----------------------------------------------------------------
     def describe(self) -> dict[str, object]:
         """A JSON-friendly snapshot of the service, its queue, and its cache."""
-        runtime_stats = self.db.runtime.stats
-        self.metrics.update_probe_cache(
-            hits=runtime_stats.get("probe_cache_hits", 0),
-            misses=runtime_stats.get("probe_cache_misses", 0),
-        )
-        self.metrics.update_scan_counters(
-            blocks_total=runtime_stats.get("blocks_total", 0),
-            blocks_skipped=runtime_stats.get("blocks_skipped", 0),
-            bytes_scanned=runtime_stats.get("bytes_scanned", 0),
-            bytes_skipped=runtime_stats.get("bytes_total", 0)
-            - runtime_stats.get("bytes_scanned", 0),
-        )
-        self.metrics.update_ingest(self.db.ingest_stats())
         return {
             "name": self.name,
             "num_workers": self.num_workers,
@@ -870,6 +855,6 @@ class QueryService:
             "sessions": len(self.sessions()),
             "scheduler": self.scheduler.describe(),
             "cache": self.cache.describe() if self.cache is not None else None,
-            "metrics": self.metrics.describe(),
+            "metrics": self.metrics.describe(self.db.runtime.stats, self.db.ingest_stats()),
             "tenants": self.tenants.describe() if self.tenants is not None else None,
         }

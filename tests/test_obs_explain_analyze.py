@@ -230,6 +230,24 @@ class TestMetricsExposition:
         assert "blinkdb_queries_total{" in text
         assert "# TYPE blinkdb_query_wall_seconds summary" in text
 
+    def test_service_series_are_native_instruments(self, blinkdb_conviva):
+        registry = blinkdb_conviva.obs.registry
+        blinkdb_conviva.metrics()  # registers the facade's own collectors
+        collectors = set(registry._collectors)
+        with blinkdb_conviva.serve(num_workers=1, name="exposed", cache=False) as service:
+            service.execute("SELECT COUNT(*) FROM sessions WITHIN 2 SECONDS")
+            described = blinkdb_conviva.metrics()
+            text = blinkdb_conviva.metrics_text()
+        assert set(registry._collectors) == collectors  # no per-service collector
+        assert described["service_queries"]["kind"] == "counter"
+        assert {"labels": {"service": "exposed", "state": "completed"}, "value": 1} in (
+            described["service_queries"]["series"]
+        )
+        assert described["service_latency_seconds"]["kind"] == "summary"
+        assert "# TYPE blinkdb_service_queries counter" in text
+        assert "# TYPE blinkdb_service_latency_seconds summary" in text
+        assert 'blinkdb_service_latency_seconds_count{service="exposed",stage="total"} 1' in text
+
     def test_repeated_exposition_does_not_accumulate_collectors(self, blinkdb_conviva):
         blinkdb_conviva.metrics()
         before = len(blinkdb_conviva.obs.registry._collectors)

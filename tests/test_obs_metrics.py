@@ -3,9 +3,9 @@
 The registry's contract: get-or-create races resolve to one instrument,
 conflicting re-registration raises, keyed collectors replace instead of
 accumulate, and both exposition formats stay consistent while writer
-threads are mid-increment.  The service-layer histogram's windowed ``max_s``
-fix is pinned here too: a lifetime spike older than the window must not
-keep dominating the windowed summary.
+threads are mid-increment.  The summary window's windowed ``max_s`` is
+pinned here too: a lifetime spike older than the window must not keep
+dominating the windowed summary.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from repro.obs.registry import (
     LabeledHistogram,
     MetricsRegistry,
     SummaryWindow,
+    percentile_of,
 )
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 
 
 class TestInstruments:
@@ -143,29 +144,57 @@ class TestRegistry:
 
 
 class TestWindowedMax:
-    def test_latency_histogram_max_is_windowed(self):
-        histogram = LatencyHistogram(window=4)
-        histogram.observe(100.0)  # the one lifetime spike
+    def test_summary_window_max_is_windowed(self):
+        window = SummaryWindow(window=4)
+        window.observe(100.0)  # the one lifetime spike
         for _ in range(4):
-            histogram.observe(0.5)  # pushes the spike out of the window
-        summary = histogram.summary()
+            window.observe(0.5)  # pushes the spike out of the window
+        summary = window.summary()
         assert summary["max_s"] == pytest.approx(0.5)
         assert summary["max_lifetime_s"] == pytest.approx(100.0)
         assert summary["count"] == 5  # count stays lifetime
 
-    def test_summary_window_matches_service_histogram_shape(self):
-        service = LatencyHistogram(window=8)
-        obs = SummaryWindow(window=8)
-        for value in (0.1, 0.9, 0.4):
-            service.observe(value)
-            obs.observe(value)
-        assert set(service.summary()) == set(obs.summary())
-        assert obs.summary()["max_s"] == pytest.approx(0.9)
-
     def test_empty_summary_is_all_zero(self):
-        summary = LatencyHistogram().summary()
+        summary = SummaryWindow().summary()
         assert summary["max_s"] == 0.0
         assert summary["max_lifetime_s"] == 0.0
+        assert summary["p99_s"] == 0.0
+
+
+class TestPercentile:
+    def test_nearest_rank(self):
+        values = [5.0, 1.0, 3.0, 2.0, 4.0]
+        assert percentile_of(values, 0.0) == 1.0
+        assert percentile_of(values, 0.5) == 3.0
+        assert percentile_of(values, 1.0) == 5.0
+        assert percentile_of([], 0.5) == 0.0
+
+    def test_fraction_out_of_range_raises(self):
+        with pytest.raises(ValueError):
+            percentile_of([1.0], 1.5)
+
+
+class TestChildren:
+    def test_counter_child_is_the_labeled_series(self):
+        counter = LabeledCounter("c", labelnames=("service",))
+        child = counter.child(service="a")
+        assert counter.child(service="a") is child
+        child.inc()
+        child.inc(2)
+        assert counter.value(service="a") == 3
+        with pytest.raises(ValueError):
+            child.inc(-1)
+
+    def test_remove_drops_matching_series_only(self):
+        counter = LabeledCounter("c", labelnames=("service", "state"))
+        counter.inc(service="a", state="x")
+        counter.inc(service="a", state="y")
+        counter.inc(service="b", state="x")
+        counter.remove(service="a")
+        assert [dict(key) for key, _ in counter.samples()] == [
+            {"service": "b", "state": "x"}
+        ]
+        assert counter.value(service="a", state="x") == 0
 
 
 class TestConcurrency:
@@ -228,15 +257,15 @@ class TestConcurrency:
         assert len({id(instrument) for instrument in found}) == 1
 
     def test_service_metrics_parallel_observe_and_describe(self):
-        metrics = ServiceMetrics()
+        metrics = ServiceMetrics(MetricsRegistry(), "svc")
         errors: list[BaseException] = []
         stop = threading.Event()
 
         def writer() -> None:
             try:
                 for i in range(400):
-                    metrics.submitted.increment()
-                    metrics.completed.increment()
+                    metrics.submitted.inc()
+                    metrics.completed.inc()
                     metrics.queue_wait.observe(i / 1000.0)
                     metrics.service_time.observe(i / 2000.0)
             except BaseException as exc:  # noqa: BLE001

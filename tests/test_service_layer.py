@@ -9,7 +9,8 @@ from repro.common.errors import QueryRejectedError
 from repro.core.blinkdb import BlinkDB
 from repro.engine.result import QueryResult
 from repro.service.cache import ResultCache, cache_key, template_label
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.obs.registry import MetricsRegistry, SummaryWindow
+from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import Admission, DeadlineScheduler
 from repro.service.session import SessionDefaults
 from repro.sql.parser import parse_query
@@ -197,25 +198,49 @@ class TestResultCache:
 
 class TestMetrics:
     def test_histogram_percentiles_are_exact_over_window(self):
-        histogram = LatencyHistogram()
+        window = SummaryWindow()
         for value in range(1, 101):
-            histogram.observe(value / 100.0)
-        assert histogram.percentile(0.50) == pytest.approx(0.50, abs=0.02)
-        assert histogram.percentile(0.95) == pytest.approx(0.95, abs=0.02)
-        assert histogram.count == 100
-        summary = histogram.summary()
+            window.observe(value / 100.0)
+        summary = window.summary()
+        assert summary["p50_s"] == pytest.approx(0.50, abs=0.02)
+        assert summary["p95_s"] == pytest.approx(0.95, abs=0.02)
+        assert window.count == 100
         assert summary["max_s"] == pytest.approx(1.0)
         assert summary["count"] == 100
 
     def test_service_metrics_describe_shape(self):
-        metrics = ServiceMetrics()
-        metrics.submitted.increment()
-        metrics.cache_hits.increment()
+        metrics = ServiceMetrics(MetricsRegistry(), "svc")
+        metrics.submitted.inc()
+        metrics.cache_hits.inc()
         metrics.record_template("t[a]", cache_hit=True)
-        snapshot = metrics.describe()
+        snapshot = metrics.describe(
+            {"probe_cache_hits": 3, "blocks_total": 10, "bytes_total": 50, "bytes_scanned": 20},
+            {"sessions": {"rows_appended": 7}},
+        )
+        assert set(snapshot) == {
+            "queries", "cache", "probe_cache", "scan", "ingest", "latency", "templates"
+        }
         assert snapshot["queries"]["submitted"] == 1
         assert snapshot["cache"]["hits"] == 1
-        assert snapshot["templates"]["t[a]"]["cache_hits"] == 1
+        assert snapshot["cache"]["hit_ratio"] == 1.0
+        assert snapshot["probe_cache"] == {"hits": 3, "misses": 0}
+        assert snapshot["scan"]["bytes_skipped"] == 30
+        assert snapshot["ingest"] == {"sessions": {"rows_appended": 7}}
+        assert set(snapshot["latency"]) == {"queue_wait", "service_time", "total", "simulated"}
+        assert snapshot["templates"]["t[a]"] == {"queries": 1, "cache_hits": 1}
+
+    def test_service_metrics_are_registry_series(self):
+        registry = MetricsRegistry()
+        metrics = ServiceMetrics(registry, "svc")
+        metrics.completed.inc()
+        metrics.total_latency.observe(0.25)
+        assert registry.get("service_queries").value(service="svc", state="completed") == 1
+        latency = registry.get("service_latency_seconds").child(service="svc", stage="total")
+        assert latency is metrics.total_latency
+        metrics.close()
+        assert registry.get("service_queries").samples() == []
+        assert registry.get("service_latency_seconds").summaries() == []
+        assert metrics.completed.value == 1  # a closed service stays inspectable
 
 
 # -- session defaults -----------------------------------------------------------------
@@ -262,6 +287,33 @@ def service_db(sessions_table):
 
 
 REPEATED_SQL = "SELECT COUNT(*) FROM sessions WHERE city = 'city_0003' GROUP BY os"
+
+
+class TestServiceMetricsLifecycle:
+    def test_closed_service_leaves_nothing_behind(self, service_db):
+        """No live object, no registry series, and no counts for a reused name."""
+        import gc
+        import weakref
+
+        service = service_db.serve(num_workers=1, name="short-lived", cache=False)
+        service.execute(REPEATED_SQL)
+        service.close()
+        ref = weakref.ref(service)
+        del service
+        gc.collect()
+        assert ref() is None
+        for name, metric in service_db.metrics().items():
+            for series in metric.get("series", []):
+                assert series["labels"].get("service") != "short-lived", name
+
+        with service_db.serve(num_workers=1, name="short-lived", cache=False) as reused:
+            snapshot = reused.describe()["metrics"]
+            assert all(value == 0 for value in snapshot["queries"].values())
+            assert snapshot["cache"] == {
+                "hits": 0, "misses": 0, "hit_ratio": 0.0, "invalidations": 0
+            }
+            assert all(stage["count"] == 0 for stage in snapshot["latency"].values())
+            assert snapshot["templates"] == {}
 
 
 class TestQueryService:
