@@ -194,14 +194,6 @@ class BlinkDBConfig:
     # Threads in the runtime's shared partial-aggregation pool (<= 1 runs the
     # partition stages inline on the calling thread).
     partition_workers: int = 4
-    # Partition count heuristic: one partition per `min_partition_rows` rows,
-    # capped at `max_partitions` (and at the row count).
-    max_partitions: int = 32
-    min_partition_rows: int = 2048
-    # Anytime/progressive executions may split more finely than
-    # `max_partitions` — a deadline is only meetable if one partition task
-    # fits it — up to this cap.
-    max_anytime_partitions: int = 4096
     # When a WITHIN time bound is unsatisfiable even by the smallest sample,
     # answer anytime-style: merge the partitions finished by the deadline and
     # widen the error bars for the missing coverage (instead of returning a
@@ -260,27 +252,17 @@ class BlinkDBConfig:
     # When False, appends report staleness_exceeded but never escalate on
     # their own (the operator drives replan_samples() explicitly).
     ingest_auto_escalate: bool = True
-    # IngestController defaults: rows per append batch, and the bounded
-    # buffer beyond which submit() blocks (backpressure).
-    ingest_batch_rows: int = 4096
-    ingest_max_pending_rows: int = 65536
     # -- scan acceleration (zone maps + compiled predicate kernels) -------------
     # When True, join-free WHERE clauses are compiled once per (table, plan)
     # into kernels that consult block zone maps to skip provably
     # non-matching blocks and return selection vectors instead of full-width
-    # masks.  Answers are identical either way; only speed changes.
+    # masks.  Base tables and sample resolutions are then also stored
+    # block-encoded (RLE runs, frame-of-reference / bit-packed integers, null
+    # suppression) and kernels execute on the encoded form without decoding.
+    # Answers are identical either way; only speed and footprint change.
     scan_acceleration: bool = True
     # Rows per zone-map block (the granularity of skip decisions).
     zone_block_rows: int = 4096
-    # -- compressed execution (per-block encodings, never-decode kernels) ---------
-    # When True (and scan_acceleration is on), base tables and sample
-    # resolutions are stored block-encoded — RLE runs, frame-of-reference /
-    # bit-packed integers, null suppression — chosen per (column, block)
-    # from the statistics already collected for zone maps.  Compiled kernels
-    # and run-weighted aggregate folds execute on the encoded form without
-    # decoding; answers are identical either way (bitwise for selection
-    # vectors, ≤1e-9 relative for run-folded moments).
-    compressed_storage: bool = True
     # -- observability (query-lifecycle tracing + accuracy ledger) ---------------
     # When False no query is ever traced (EXPLAIN ANALYZE still forces a
     # trace for its own execution).
@@ -291,17 +273,12 @@ class BlinkDBConfig:
     # query.  Sampling is deterministic (counted, not an RNG): of the first
     # n queries exactly floor(rate * n) are traced, evenly spaced.
     trace_sample_rate: float = 1.0
-    # Rolling window (observations per template) of the accuracy ledger's
-    # latency-prediction ratios and error-bar coverage outcomes.
-    accuracy_ledger_window: int = 512
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.maintenance_churn_fraction <= 1.0:
             raise ValueError("maintenance_churn_fraction must be in [0, 1]")
         if self.partition_workers < 1:
             raise ValueError("partition_workers must be >= 1 (1 runs inline)")
-        if self.max_partitions < 1:
-            raise ValueError("max_partitions must be >= 1")
         if self.execution_backend not in ("threads", "processes"):
             raise ValueError(
                 "execution_backend must be 'threads' or 'processes', "
@@ -338,21 +315,11 @@ class BlinkDBConfig:
             raise ValueError("service_retry_backoff_seconds must be non-negative")
         if self.ingest_flush_retries < 0:
             raise ValueError("ingest_flush_retries must be >= 0")
-        if self.max_anytime_partitions < 1:
-            raise ValueError("max_anytime_partitions must be >= 1")
-        if self.min_partition_rows < 1:
-            raise ValueError("min_partition_rows must be >= 1")
         if self.straggler_spread < 0.0:
             raise ValueError("straggler_spread must be non-negative")
         if self.zone_block_rows < 1:
             raise ValueError("zone_block_rows must be >= 1")
         if not 0.0 < self.ingest_staleness_budget:
             raise ValueError("ingest_staleness_budget must be positive")
-        if self.ingest_batch_rows < 1:
-            raise ValueError("ingest_batch_rows must be >= 1")
-        if self.ingest_max_pending_rows < self.ingest_batch_rows:
-            raise ValueError("ingest_max_pending_rows must be >= ingest_batch_rows")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError("trace_sample_rate must be in [0, 1]")
-        if self.accuracy_ledger_window < 1:
-            raise ValueError("accuracy_ledger_window must be >= 1")

@@ -156,11 +156,10 @@ class BlinkDB:
                 # Build the scan-acceleration metadata once, at load time, so
                 # the first query pays only O(num_blocks) triage work.
                 table.zone_map_index(self.config.zone_block_rows)
-                if self.config.compressed_storage:
-                    # Encode per (column, block) using the statistics the
-                    # zone maps just collected; kernels then execute on the
-                    # encoded form without decoding.
-                    table = encode_table(table, self.config.zone_block_rows)
+                # Encode per (column, block) using the statistics the zone
+                # maps just collected; kernels then execute on the encoded
+                # form without decoding.
+                table = encode_table(table, self.config.zone_block_rows)
             self._builder.register_base_table(table, cache=cache)
             self._invalidate_runtime()
 
@@ -236,20 +235,17 @@ class BlinkDB:
                 for _, family in self.catalog.iter_families(table_name):
                     for resolution in family.resolutions:
                         resolution.table.zone_map_index(self.config.zone_block_rows)
-                        if self.config.compressed_storage:
-                            # Samples are stored sorted by φ, so stratified
-                            # resolutions are maximally RLE-friendly.  The
-                            # resolution is a frozen value type; swapping in
-                            # the encoded table here is safe because the
-                            # exclusive build lock is held and no runtime has
-                            # seen this generation yet.
-                            object.__setattr__(
-                                resolution,
-                                "table",
-                                encode_table(
-                                    resolution.table, self.config.zone_block_rows
-                                ),
-                            )
+                        # Samples are stored sorted by φ, so stratified
+                        # resolutions are maximally RLE-friendly.  The
+                        # resolution is a frozen value type; swapping in the
+                        # encoded table here is safe because the exclusive
+                        # build lock is held and no runtime has seen this
+                        # generation yet.
+                        object.__setattr__(
+                            resolution,
+                            "table",
+                            encode_table(resolution.table, self.config.zone_block_rows),
+                        )
             state = self._ingest_states.get(table_name)
             if state is not None:
                 state.reanchor(recompute_statistics=True)
@@ -718,13 +714,14 @@ class BlinkDB:
         """A batching, backpressured producer endpoint over :meth:`append`."""
         from repro.ingest.controller import IngestController
 
+        # Unset sizes keep the controller's own defaults.
+        sizes = {"batch_rows": batch_rows, "max_pending_rows": max_pending_rows}
         return IngestController(
             self,
             table_name,
-            batch_rows=batch_rows or self.config.ingest_batch_rows,
-            max_pending_rows=max_pending_rows or self.config.ingest_max_pending_rows,
             background=background,
             flush_retries=self.config.ingest_flush_retries,
+            **{name: rows for name, rows in sizes.items() if rows is not None},
         )
 
     def ingest_stats(self) -> dict[str, dict[str, object]]:

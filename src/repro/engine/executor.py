@@ -497,18 +497,15 @@ class QueryExecutor:
                 row_start, row_end = 0, working.num_rows
             if row_end - row_start != working.num_rows:
                 return None
-            try:
-                kernel = self.predicate_kernel(plan.where, source)
-                counters = ScanCounters()
-                selection = kernel.select_range(
-                    working,
-                    row_start,
-                    row_end,
-                    counters=counters,
-                    row_width=working.row_width_bytes,
-                )
-            except ExecutionError:
-                return None
+            kernel = self.predicate_kernel(plan.where, source)
+            counters = ScanCounters()
+            selection = kernel.select_range(
+                working,
+                row_start,
+                row_end,
+                counters=counters,
+                row_width=working.row_width_bytes,
+            )
             self._record_scan(counters)
             if sink is not None:
                 sink.record_scan(counters)
@@ -692,31 +689,22 @@ class QueryExecutor:
                 source = fallback_source if fallback_source is not None else working
                 row_start, row_end = 0, working.num_rows
             if row_end - row_start == working.num_rows:
-                try:
-                    kernel = self.predicate_kernel(plan.where, source)
-                    counters = ScanCounters()
-                    selection = kernel.select_range(
-                        working,
-                        row_start,
-                        row_end,
-                        counters=counters,
-                        row_width=working.row_width_bytes,
-                    )
-                except ExecutionError:
-                    # A predicate form the kernel compiler does not support
-                    # yet: acceleration must degrade to the interpretive
-                    # path, never fail a query the mask path can answer.
-                    pass
-                else:
-                    self._record_scan(counters)
-                    if sink is not None:
-                        sink.record_scan(counters)
-                        sink.record_filter(row_end - row_start, selection.size)
-                    matched = survivors.take(selection)
-                    matched_weights = (
-                        weights[selection] if weights is not None else None
-                    )
-                    return matched, matched_weights
+                kernel = self.predicate_kernel(plan.where, source)
+                counters = ScanCounters()
+                selection = kernel.select_range(
+                    working,
+                    row_start,
+                    row_end,
+                    counters=counters,
+                    row_width=working.row_width_bytes,
+                )
+                self._record_scan(counters)
+                if sink is not None:
+                    sink.record_scan(counters)
+                    sink.record_filter(row_end - row_start, selection.size)
+                matched = survivors.take(selection)
+                matched_weights = weights[selection] if weights is not None else None
+                return matched, matched_weights
         mask = evaluate_predicate(plan.where, working)
         matched = survivors.filter(mask)
         if sink is not None:
@@ -736,19 +724,15 @@ class QueryExecutor:
         if plan.where is None:
             return data.num_rows
         if self._accelerable(plan):
-            try:
-                kernel = self.predicate_kernel(plan.where, data)
-                counters = ScanCounters()
-                selection = kernel.select_range(
-                    data, 0, data.num_rows, counters=counters,
-                    row_width=data.row_width_bytes,
-                )
-            except ExecutionError:
-                pass  # unsupported predicate form: count interpretively
-            else:
-                if record:
-                    self._record_scan(counters)
-                return int(selection.size)
+            kernel = self.predicate_kernel(plan.where, data)
+            counters = ScanCounters()
+            selection = kernel.select_range(
+                data, 0, data.num_rows, counters=counters,
+                row_width=data.row_width_bytes,
+            )
+            if record:
+                self._record_scan(counters)
+            return int(selection.size)
         return int(np.count_nonzero(evaluate_predicate(plan.where, data)))
 
     # -- stage 3: merged states -> estimates ---------------------------------------------

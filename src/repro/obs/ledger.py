@@ -14,9 +14,9 @@ execution records, per query template:
   (``db.audit_accuracy`` runs the approximate and exact answers side by
   side): did the confidence interval contain the exact value?
 
-Windows are rolling (``BlinkDBConfig.accuracy_ledger_window`` observations
-per template), so the ledger tracks the *current* calibration even as data
-streams in and samples are rebuilt.  Summaries feed three consumers: the
+Windows are rolling (512 observations per template by default), so the
+ledger tracks the *current* calibration even as data streams in and
+samples are rebuilt.  Summaries feed three consumers: the
 metrics exposition (``db.metrics()`` / ``db.metrics_text()``), the
 ``EXPLAIN ANALYZE`` footer (how this template has been tracking), and
 tests asserting that realized coverage meets the configured confidence.

@@ -50,7 +50,8 @@ class Observability:
             clock=clock,
         )
         self.registry = MetricsRegistry(namespace)
-        self.ledger = AccuracyLedger(window=config.accuracy_ledger_window)
+        # Rolling window: 512 observations per template.
+        self.ledger = AccuracyLedger(window=512)
 
         # Native instruments fed by observe_query().
         self._queries = self.registry.counter(

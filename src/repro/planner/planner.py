@@ -33,6 +33,7 @@ Hit/miss counters surface through ``runtime.stats`` and the service metrics.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from repro.cluster.simulator import ClusterSimulator
 from repro.common.config import BlinkDBConfig
@@ -53,6 +54,16 @@ from repro.sampling.resolution import SampleResolution
 from repro.sql.ast import AggregateFunction, ErrorBound
 from repro.storage.catalog import Catalog
 from repro.storage.encodings import describe_encoding_kinds
+
+
+#: Partition-count heuristic of a pipeline execution: one partition per
+#: ``MIN_PARTITION_ROWS`` rows, capped at ``MAX_PARTITIONS`` (and at the
+#: row count).
+MAX_PARTITIONS = 32
+MIN_PARTITION_ROWS = 2048
+#: Anytime executions may split more finely than ``MAX_PARTITIONS`` — a
+#: deadline is only meetable if one partition task fits it — up to this cap.
+MAX_ANYTIME_PARTITIONS = 4096
 
 
 class QueryPlanner:
@@ -89,25 +100,10 @@ class QueryPlanner:
             with span.span("plan-disjunctive", branches=len(logical.branches)):
                 return self._plan_disjunctive(logical)
 
-        rationale: list[str] = []
-        with span.span("select-family") as select_span:
-            selection = self.selector.select(logical)
-            rationale.append(_selection_rationale(selection))
-            probe = selection.probe or self.selector.probe(
-                logical, selection.family.smallest
-            )
-            select_span.annotate(
-                reason=selection.reason, probed=len(selection.probes)
-            )
-        with span.span("size-resolution") as size_span:
-            resolution, profile, satisfied = self._choose_resolution(
-                logical, selection, probe
-            )
-            size_span.annotate(resolution=resolution.name, satisfied=satisfied)
-        rationale.append(_resolution_rationale(logical, resolution, profile, satisfied))
-
+        bound = self._bind(logical, span)
+        rationale = list(bound.rationale)
         anytime = (
-            not satisfied
+            not bound.bound_satisfied
             and logical.time_bound is not None
             and self.config.anytime_enabled
         )
@@ -115,7 +111,8 @@ class QueryPlanner:
         if anytime or progressive:
             deadline = logical.time_bound.seconds if anytime else None
             partitioning = self.partition_spec(
-                logical, selection, resolution, probe, deadline_seconds=deadline
+                logical, bound.selection, bound.resolution, bound.probe,
+                deadline_seconds=deadline,
             )
             if anytime:
                 rationale.append(
@@ -123,9 +120,7 @@ class QueryPlanner:
                     f"resolution: anytime deadline-cut over "
                     f"{partitioning.num_partitions} partitions"
                 )
-
-        with span.span("scan-estimate"):
-            scan_estimate = self.scan_estimate(logical, resolution)
+        scan_estimate = bound.scan_estimate
         if scan_estimate is not None and scan_estimate.blocks_skipped > 0:
             rationale.append(
                 f"zone maps: ~{scan_estimate.blocks_skipped}/"
@@ -133,21 +128,8 @@ class QueryPlanner:
                 f"({scan_estimate.skip_fraction:.0%} of rows) provably "
                 f"non-matching, skipped without reading"
             )
-
-        return PhysicalPlan(
-            logical=logical,
-            mode=PlanMode.APPROXIMATE,
-            selection=selection,
-            probe=probe,
-            resolution=resolution,
-            profile=profile,
-            bound_satisfied=satisfied,
-            clustered_scan=self.clustered_scan(logical, selection),
-            anytime=anytime,
-            partitioning=partitioning,
-            pruned_columns=self.pruned_columns(logical),
-            scan_estimate=scan_estimate,
-            rationale=tuple(rationale),
+        return replace(
+            bound, anytime=anytime, partitioning=partitioning, rationale=tuple(rationale)
         )
 
     def plan_partitioned(
@@ -158,36 +140,24 @@ class QueryPlanner:
         sim_workers: int | None = None,
         reference_workers: int | None = None,
         deadline_seconds: float | None = None,
+        span: AnySpan = NULL_SPAN,
     ) -> PhysicalPlan:
         """Plan with an explicit partition layout (benchmark knobs)."""
-        selection = self.selector.select(logical)
-        probe = selection.probe or self.selector.probe(logical, selection.family.smallest)
-        resolution, profile, satisfied = self._choose_resolution(
-            logical, selection, probe
-        )
+        bound = self._bind(logical, span)
         partitioning = self.partition_spec(
             logical,
-            selection,
-            resolution,
-            probe,
+            bound.selection,
+            bound.resolution,
+            bound.probe,
             deadline_seconds=deadline_seconds,
             num_partitions=num_partitions,
             sim_workers=sim_workers,
             reference_workers=reference_workers,
         )
-        return PhysicalPlan(
-            logical=logical,
-            mode=PlanMode.APPROXIMATE,
-            selection=selection,
-            probe=probe,
-            resolution=resolution,
-            profile=profile,
-            bound_satisfied=satisfied,
-            clustered_scan=self.clustered_scan(logical, selection),
+        return replace(
+            bound,
             anytime=deadline_seconds is not None,
             partitioning=partitioning,
-            pruned_columns=self.pruned_columns(logical),
-            scan_estimate=self.scan_estimate(logical, resolution),
             rationale=(
                 f"explicit partition layout: {partitioning.num_partitions} partitions "
                 f"on {partitioning.sim_workers} lanes",
@@ -202,6 +172,45 @@ class QueryPlanner:
             bound_satisfied=True,
             pruned_columns=self.pruned_columns(logical),
             rationale=("full-resolution binding: exact scan of the base table",),
+        )
+
+    def _bind(self, logical: LogicalPlan, span: AnySpan) -> PhysicalPlan:
+        """Select a family, probe it and size a resolution from its ELP.
+
+        The serial single-family plan both :meth:`plan` and
+        :meth:`plan_partitioned` start from; its rationale holds the
+        selection and sizing lines.  Each phase opens a child of ``span``.
+        """
+        with span.span("select-family") as select_span:
+            selection = self.selector.select(logical)
+            probe = selection.probe or self.selector.probe(
+                logical, selection.family.smallest
+            )
+            select_span.annotate(
+                reason=selection.reason, probed=len(selection.probes)
+            )
+        with span.span("size-resolution") as size_span:
+            resolution, profile, satisfied = self._choose_resolution(
+                logical, selection, probe
+            )
+            size_span.annotate(resolution=resolution.name, satisfied=satisfied)
+        with span.span("scan-estimate"):
+            scan_estimate = self.scan_estimate(logical, resolution)
+        return PhysicalPlan(
+            logical=logical,
+            mode=PlanMode.APPROXIMATE,
+            selection=selection,
+            probe=probe,
+            resolution=resolution,
+            profile=profile,
+            bound_satisfied=satisfied,
+            clustered_scan=self.clustered_scan(logical, selection),
+            pruned_columns=self.pruned_columns(logical),
+            scan_estimate=scan_estimate,
+            rationale=(
+                _selection_rationale(selection),
+                _resolution_rationale(logical, resolution, profile, satisfied),
+            ),
         )
 
     # -- planning building blocks ------------------------------------------------------
@@ -371,16 +380,14 @@ class QueryPlanner:
     ) -> PartitionSpec:
         """The partition layout of a pipeline execution of ``resolution``.
 
-        Partition count heuristics: one partition per
-        ``config.min_partition_rows`` rows capped at ``config.max_partitions``;
-        anytime/progressive runs get at least 8 partitions for merge
-        granularity, and a deadline splits finely enough that one straggling
-        partition task still fits it (bounded by
-        ``config.max_anytime_partitions``).  Lanes default to one per
+        Partition count heuristics: one partition per ``MIN_PARTITION_ROWS``
+        rows capped at ``MAX_PARTITIONS``; anytime/progressive runs get at
+        least 8 partitions for merge granularity, and a deadline splits
+        finely enough that one straggling partition task still fits it
+        (bounded by ``MAX_ANYTIME_PARTITIONS``).  Lanes default to one per
         data-holding simulated node so a full merge reproduces the cluster
         simulator's whole-scan latency.
         """
-        config = self.config
         scan_latency = None
         scan_nodes = None
         task_overhead = 0.0
@@ -402,13 +409,11 @@ class QueryPlanner:
             scan_nodes = max(1, execution.estimate.parallelism // max(1, slots))
 
         if num_partitions is None:
-            anytime_cap = max(config.max_partitions, config.max_anytime_partitions)
-            num_partitions = self._default_partitions(resolution.num_rows)
+            num_partitions = _default_partitions(resolution.num_rows)
             # Anytime cuts and progressive snapshots need merge granularity
             # even on small resolutions: never fewer than 8 partitions
-            # (bounded by the row count and the anytime cap).
-            floor = min(8, resolution.num_rows, anytime_cap)
-            num_partitions = max(num_partitions, floor)
+            # (bounded by the row count).
+            num_partitions = max(num_partitions, min(8, resolution.num_rows))
             if deadline_seconds is not None and scan_latency is not None:
                 # Split finely enough that one partition task (startup plus
                 # its share of the per-lane scan work) fits the deadline, so
@@ -419,9 +424,11 @@ class QueryPlanner:
                 if work > 0.0 and budget > 0.0:
                     # A task can run up to (1 + spread) slower than its share;
                     # budget for the worst case so stragglers still fit.
-                    serial = work * (scan_nodes or 1) * (1.0 + config.straggler_spread)
+                    serial = work * (scan_nodes or 1) * (1.0 + self.config.straggler_spread)
                     needed = math.ceil(serial / budget)
-                    num_partitions = max(num_partitions, min(needed, anytime_cap))
+                    num_partitions = max(
+                        num_partitions, min(needed, MAX_ANYTIME_PARTITIONS)
+                    )
             num_partitions = max(1, min(num_partitions, resolution.num_rows))
         if sim_workers is None:
             # One lane per data-holding node: the full merge then reproduces
@@ -436,11 +443,6 @@ class QueryPlanner:
             deadline_seconds=deadline_seconds,
             reference_workers=reference_workers,
         )
-
-    def _default_partitions(self, num_rows: int) -> int:
-        config = self.config
-        by_rows = max(1, num_rows // config.min_partition_rows)
-        return max(1, min(config.max_partitions, by_rows, max(1, num_rows)))
 
     # -- simulated-scan accounting ------------------------------------------------------
     def scan_parameters(
@@ -509,9 +511,12 @@ def per_branch_bound(bound: ErrorBound | None, num_branches: int) -> ErrorBound 
     """
     if bound is None or num_branches <= 1:
         return bound
-    from dataclasses import replace
-
     return replace(bound, error=bound.error / (num_branches**0.5))
+
+
+def _default_partitions(num_rows: int) -> int:
+    by_rows = max(1, num_rows // MIN_PARTITION_ROWS)
+    return max(1, min(MAX_PARTITIONS, by_rows, max(1, num_rows)))
 
 
 def _same_family(selection: FamilySelection, resolution: SampleResolution) -> bool:

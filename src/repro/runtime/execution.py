@@ -1,17 +1,27 @@
 """The end-to-end BlinkDB runtime (paper §4): plan, then dispatch.
 
 :class:`BlinkDBRuntime` receives a BlinkQL query (raw text, parsed AST, or
-an already-normalized :class:`~repro.planner.logical.LogicalPlan`), hands it
-to the cost-based :class:`~repro.planner.planner.QueryPlanner`, and then
-*dispatches* the resulting :class:`~repro.planner.physical.PhysicalPlan`:
+an already-normalized :class:`~repro.planner.logical.LogicalPlan`) and
+answers it on one path, :meth:`BlinkDBRuntime._run`.  The three entry
+points differ only in which :class:`~repro.planner.planner.QueryPlanner`
+call binds the :class:`~repro.planner.physical.PhysicalPlan`:
+:meth:`~BlinkDBRuntime.execute` (``plan``), :meth:`~BlinkDBRuntime.
+execute_partitioned` (``plan_partitioned``, explicit partition layout) and
+:meth:`~BlinkDBRuntime.execute_exact` (``plan_exact``).  ``_run`` opens the
+trace and scan sink, stamps the table generation, plans under the ``plan``
+span, counts the query and enforces ``strict_bounds``, then dispatches on
+the plan's shape:
 
-* ``APPROXIMATE`` plans run on the chosen sample resolution — serially, or
-  through the partition pipeline when the plan carries a partition layout
-  (anytime deadline cuts, progressive snapshots);
+* ``EXACT`` plans scan the full base table (the no-sampling baseline);
 * ``DISJUNCTIVE`` plans run one sub-plan per disjoint OR branch and combine
   the partial answers with propagated uncertainty (§4.1.2);
-* ``EXACT`` plans run the same logical plan bound to the full base table
-  (the no-sampling baseline).
+* a plan with a partition layout runs through the partition pipeline
+  (anytime deadline cuts, progressive snapshots);
+* any other plan runs serially on its chosen sample resolution.
+
+Single-family answers carry one :class:`RuntimeDecision` (with the ELP's
+predictions for the chosen resolution); every answer is observed into the
+metrics and the accuracy ledger after the trace is finished.
 
 All decision logic — family selection (§4.1), Error-Latency-Profile
 resolution sizing (§4.2), anytime partition layout, column pruning — lives
@@ -39,7 +49,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.common.clock import monotonic
 from repro.common.config import BlinkDBConfig
@@ -51,17 +61,21 @@ from repro.engine.result import AggregateValue, GroupResult, QueryResult
 from repro.estimation.propagation import combine_sum
 from repro.obs.ledger import template_label_of
 from repro.obs.observability import Observability
-from repro.obs.trace import NULL_SPAN, NULL_TRACE, AnySpan, AnyTrace
+from repro.obs.trace import AnySpan, AnyTrace
 from repro.planner.logical import LogicalPlan
-from repro.planner.physical import PartitionSpec, PhysicalPlan, PlanMode
+from repro.planner.physical import BranchPlan, PhysicalPlan, PlanMode
 from repro.planner.planner import QueryPlanner
 from repro.runtime.partitioned import PartitionPipeline, ProgressCallback
 from repro.runtime.procpool import ProcessBackend, ProcessPartitionPool
-from repro.runtime.selection import FamilySelection, ProbeResult
 from repro.runtime.sizing import ErrorLatencyProfile
 from repro.sampling.resolution import SampleResolution
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+
+#: A plan bound to one sample resolution: a single-family physical plan or
+#: one branch of a disjunctive plan (both carry logical, selection, probe
+#: and resolution).
+Bound = PhysicalPlan | BranchPlan
 
 
 @dataclass(frozen=True)
@@ -174,157 +188,15 @@ class BlinkDBRuntime:
         ``WITHIN``-bounded query past its bound; the thread path is
         unaffected.
         """
-        logical = LogicalPlan.of(query)
-        if trace is None:
-            trace = self.obs.tracer.begin(table=logical.table)
-        sink = scan_sink if scan_sink is not None else (
-            ScanSink() if trace.sampled else None
-        )
-        started = monotonic()
-        try:
-            result = self._execute_traced(
-                logical, progress, trace, sink,
-                wall_timeout_seconds=wall_timeout_seconds,
-            )
-        finally:
-            trace.finish()
-        self._observe(logical, result, trace, sink, monotonic() - started)
-        return result
-
-    def _execute_traced(
-        self,
-        logical: LogicalPlan,
-        progress: ProgressCallback | None,
-        trace: AnyTrace,
-        sink: ScanSink | None,
-        wall_timeout_seconds: float | None = None,
-    ) -> QueryResult:
-        # Captured before planning/execution; the caller's read lock keeps it
-        # consistent with every row read below, so the stamped answer is a
-        # single-generation answer by construction.
-        generation = self.catalog.generation(logical.table)
-        with trace.span("plan") as plan_span:
-            plan = self.planner.plan(
-                logical, progressive=progress is not None, span=plan_span
-            )
-
-        if plan.mode is PlanMode.DISJUNCTIVE:
-            with self._stats_lock:
-                self._queries_executed += 1
-                self._disjunctive_queries_executed += 1
-            if not plan.bound_satisfied and self.config.strict_bounds:
-                raise ConstraintUnsatisfiableError(
-                    "one or more disjunctive branches cannot satisfy the requested bound"
-                )
-            result = self._execute_disjunctive(plan, trace=trace, sink=sink)
-            result.metadata["generation"] = generation
-            return result
-        with self._stats_lock:
-            self._queries_executed += 1
-
-        if not plan.bound_satisfied and self.config.strict_bounds:
-            raise ConstraintUnsatisfiableError(
-                f"no resolution of family {plan.family_key} satisfies the "
-                f"requested bound for query: {logical.raw_sql or logical.describe()}"
-            )
-
-        assert plan.selection is not None
-        assert plan.probe is not None and plan.resolution is not None
-        anytime = plan.anytime
-        if plan.partitioning is not None:
-            with trace.span(
-                "partition-dispatch",
-                partitions=plan.partitioning.num_partitions,
-                sample=plan.resolution.name,
-            ) as dispatch:
-                result, stats = self._run_pipeline(
-                    plan,
-                    progress=progress,
-                    trace_span=dispatch,
-                    sink=sink,
-                    wall_timeout_seconds=wall_timeout_seconds,
-                )
-            partitions_run = stats.num_partitions
-            coverage = stats.coverage_population_fraction
-            if anytime and coverage < 1.0:
-                # Count only answers that are *actually* partial: a deadline
-                # the schedule happened to fit completely is a full answer.
-                with self._stats_lock:
-                    self._anytime_queries_executed += 1
-        else:
-            with trace.span(
-                "dispatch", mode="serial", sample=plan.resolution.name
-            ) as dispatch:
-                result = self._run_on_resolution(
-                    plan.logical, plan.selection, plan.resolution, sink=sink
-                )
-                with dispatch.span("estimate"):
-                    result = self._attach_latency(
-                        result, plan.selection, plan.resolution, plan.probe, plan.logical
-                    )
-            partitions_run = 1
-            coverage = 1.0
-            anytime = False
-
-        entry_error = None
-        entry_latency = None
-        if plan.profile is not None:
-            entry = plan.profile.entry_for(plan.resolution)
-            entry_error = entry.predicted_relative_error
-            entry_latency = entry.predicted_latency_seconds
-        decision = RuntimeDecision(
-            family_key=plan.family_key,
-            family_reason=plan.selection.reason,
-            resolution_name=plan.resolution.name,
-            resolution_rows=plan.resolution.num_rows,
-            bound_satisfied=plan.bound_satisfied,
-            predicted_relative_error=entry_error,
-            predicted_latency_seconds=entry_latency,
-            profile=plan.profile,
-            probed_families=plan.probed_resolutions,
-            partitions=partitions_run,
-            anytime=anytime and coverage < 1.0,
-            coverage_fraction=coverage,
-            plan=plan,
-        )
-        result.metadata["decision"] = decision
-        result.metadata["plan"] = plan
-        result.metadata["generation"] = generation
-        return result
-
-    def _observe(
-        self,
-        logical: LogicalPlan,
-        result: QueryResult,
-        trace: AnyTrace,
-        sink: ScanSink | None,
-        measured_seconds: float,
-    ) -> None:
-        """Attach trace/scan actuals and feed the unified metrics + ledger."""
-        if trace.sampled:
-            result.metadata["trace"] = trace
-        if sink is not None:
-            result.metadata["scan_actuals"] = sink
-        plan = result.metadata.get("plan")
-        mode = plan.mode.value if plan is not None else "approximate"
-        decision = result.metadata.get("decision")
-        predicted_latency = (
-            decision.predicted_latency_seconds if decision is not None else None
-        )
-        predicted_error = (
-            decision.predicted_relative_error if decision is not None else None
-        )
-        realized = result.max_relative_error()
-        if realized is not None and not math.isfinite(realized):
-            realized = None
-        self.obs.observe_query(
-            template_label_of(logical),
-            mode=mode,
-            predicted_latency_s=predicted_latency,
-            actual_latency_s=result.simulated_latency_seconds,
-            predicted_relative_error=predicted_error,
-            realized_relative_error=realized,
-            measured_seconds=measured_seconds,
+        return self._run(
+            query,
+            lambda logical, span: self.planner.plan(
+                logical, progressive=progress is not None, span=span
+            ),
+            trace=trace,
+            scan_sink=scan_sink,
+            progress=progress,
+            wall_timeout_seconds=wall_timeout_seconds,
         )
 
     def execute_partitioned(
@@ -347,55 +219,20 @@ class BlinkDBRuntime:
         (defaults to ``sim_workers``).  Used by benchmarks to measure
         partition-parallel speedup and anytime error/deadline trade-offs.
         """
-        logical = LogicalPlan.of(query)
-        if trace is None:
-            trace = self.obs.tracer.begin(table=logical.table)
-        sink = scan_sink if scan_sink is not None else (
-            ScanSink() if trace.sampled else None
+        return self._run(
+            query,
+            lambda logical, span: self.planner.plan_partitioned(
+                logical,
+                num_partitions=num_partitions,
+                sim_workers=sim_workers,
+                reference_workers=reference_workers,
+                deadline_seconds=deadline_seconds,
+                span=span,
+            ),
+            trace=trace,
+            scan_sink=scan_sink,
+            progress=progress,
         )
-        started = monotonic()
-        generation = self.catalog.generation(logical.table)
-        with self._stats_lock:
-            self._queries_executed += 1
-        try:
-            with trace.span("plan"):
-                plan = self.planner.plan_partitioned(
-                    logical,
-                    num_partitions=num_partitions,
-                    sim_workers=sim_workers,
-                    reference_workers=reference_workers,
-                    deadline_seconds=deadline_seconds,
-                )
-            assert plan.selection is not None and plan.resolution is not None
-            with trace.span(
-                "partition-dispatch",
-                partitions=plan.partitioning.num_partitions
-                if plan.partitioning is not None
-                else 1,
-                sample=plan.resolution.name,
-            ) as dispatch:
-                result, stats = self._run_pipeline(
-                    plan, progress=progress, trace_span=dispatch, sink=sink
-                )
-        finally:
-            trace.finish()
-        result.metadata["decision"] = RuntimeDecision(
-            family_key=plan.family_key,
-            family_reason=plan.selection.reason,
-            resolution_name=plan.resolution.name,
-            resolution_rows=plan.resolution.num_rows,
-            bound_satisfied=plan.bound_satisfied,
-            profile=plan.profile,
-            probed_families=plan.probed_resolutions,
-            partitions=stats.num_partitions,
-            anytime=not stats.complete,
-            coverage_fraction=stats.coverage_population_fraction,
-            plan=plan,
-        )
-        result.metadata["plan"] = plan
-        result.metadata["generation"] = generation
-        self._observe(logical, result, trace, sink, monotonic() - started)
-        return result
 
     def execute_exact(
         self,
@@ -405,6 +242,24 @@ class BlinkDBRuntime:
         scan_sink: ScanSink | None = None,
     ) -> QueryResult:
         """Answer a query exactly from the base table (the no-sampling baseline)."""
+        return self._run(
+            query,
+            lambda logical, span: self.planner.plan_exact(logical),
+            trace=trace,
+            scan_sink=scan_sink,
+        )
+
+    def _run(
+        self,
+        query: Plannable,
+        bind: Callable[[LogicalPlan, AnySpan], PhysicalPlan],
+        *,
+        trace: AnyTrace | None,
+        scan_sink: ScanSink | None,
+        progress: ProgressCallback | None = None,
+        wall_timeout_seconds: float | None = None,
+    ) -> QueryResult:
+        """The one traced execute path: bind a plan, dispatch it by shape, observe."""
         logical = LogicalPlan.of(query)
         if trace is None:
             trace = self.obs.tracer.begin(table=logical.table)
@@ -412,30 +267,84 @@ class BlinkDBRuntime:
             ScanSink() if trace.sampled else None
         )
         started = monotonic()
-        generation = self.catalog.generation(logical.table)
         try:
-            with trace.span("plan"):
-                plan = self.planner.plan_exact(logical)
-            with self._stats_lock:
-                self._exact_queries_executed += 1
-            table = self.catalog.table(logical.table)
-            context = ExecutionContext(exact=True, sample_name=None, scan_sink=sink)
-            with trace.span("dispatch", mode="exact", table=table.name) as dispatch:
-                result = self.executor.execute(plan.logical, table, context)
-                if self.simulator is not None and self.simulator.has_dataset(table.name):
-                    with dispatch.span("estimate"):
-                        execution = self.simulator.simulate_scan(
-                            table.name, output_groups=max(1, len(result.groups))
-                        )
-                        result = replace(
-                            result, simulated_latency_seconds=execution.latency_seconds
-                        )
+            # Captured before planning/execution; the caller's read lock keeps
+            # it consistent with every row read below, so the stamped answer
+            # is a single-generation answer by construction.
+            generation = self.catalog.generation(logical.table)
+            with trace.span("plan") as plan_span:
+                plan = bind(logical, plan_span)
+            self._count_and_check(plan)
+            if plan.mode is PlanMode.EXACT:
+                result = self._run_exact(plan, trace, sink)
+            elif plan.mode is PlanMode.DISJUNCTIVE:
+                result = self._execute_disjunctive(plan, trace, sink)
+            elif plan.partitioning is not None:
+                result = self._run_pipeline(
+                    plan, progress, trace, sink, wall_timeout_seconds
+                )
+            else:
+                result = self._run_serial(plan, trace, sink)
+            result.metadata["plan"] = plan
+            result.metadata["generation"] = generation
         finally:
             trace.finish()
-        result.metadata["plan"] = plan
-        result.metadata["generation"] = generation
-        self._observe(logical, result, trace, sink, monotonic() - started)
+        self._observe(plan, result, trace, sink, monotonic() - started)
         return result
+
+    def _count_and_check(self, plan: PhysicalPlan) -> None:
+        """Count a planned query by its shape, then enforce ``strict_bounds``."""
+        with self._stats_lock:
+            if plan.mode is PlanMode.EXACT:
+                self._exact_queries_executed += 1
+            else:
+                self._queries_executed += 1
+                if plan.mode is PlanMode.DISJUNCTIVE:
+                    self._disjunctive_queries_executed += 1
+        if plan.bound_satisfied or not self.config.strict_bounds:
+            return
+        if plan.mode is PlanMode.DISJUNCTIVE:
+            raise ConstraintUnsatisfiableError(
+                "one or more disjunctive branches cannot satisfy the requested bound"
+            )
+        logical = plan.logical
+        raise ConstraintUnsatisfiableError(
+            f"no resolution of family {plan.family_key} satisfies the "
+            f"requested bound for query: {logical.raw_sql or logical.describe()}"
+        )
+
+    def _observe(
+        self,
+        plan: PhysicalPlan,
+        result: QueryResult,
+        trace: AnyTrace,
+        sink: ScanSink | None,
+        measured_seconds: float,
+    ) -> None:
+        """Attach trace/scan actuals and feed the unified metrics + ledger."""
+        if trace.sampled:
+            result.metadata["trace"] = trace
+        if sink is not None:
+            result.metadata["scan_actuals"] = sink
+        decision = result.metadata.get("decision")
+        predicted_latency = (
+            decision.predicted_latency_seconds if decision is not None else None
+        )
+        predicted_error = (
+            decision.predicted_relative_error if decision is not None else None
+        )
+        realized = result.max_relative_error()
+        if realized is not None and not math.isfinite(realized):
+            realized = None
+        self.obs.observe_query(
+            template_label_of(plan.logical),
+            mode=plan.mode.value,
+            predicted_latency_s=predicted_latency,
+            actual_latency_s=result.simulated_latency_seconds,
+            predicted_relative_error=predicted_error,
+            realized_relative_error=realized,
+            measured_seconds=measured_seconds,
+        )
 
     @property
     def stats(self) -> dict[str, int]:
@@ -456,68 +365,74 @@ class BlinkDBRuntime:
         counters.update(self.executor.scan_stats)
         return counters
 
-    # -- internals: single-plan path -----------------------------------------------------
-    def _run_on_resolution(
-        self,
-        logical: LogicalPlan,
-        selection: FamilySelection,
-        resolution: SampleResolution,
-        sink: ScanSink | None = None,
+    # -- internals: dispatch by plan shape ---------------------------------------------
+    def _run_exact(
+        self, plan: PhysicalPlan, trace: AnyTrace, sink: ScanSink | None
     ) -> QueryResult:
-        context = ExecutionContext(
-            weights=resolution.weights,
-            exact=False,
-            unit_weight_exact=selection.covers_query,
-            rows_read=resolution.num_rows,
-            population_read=resolution.represented_rows,
-            sample_name=resolution.name,
-            scan_sink=sink,
-        )
-        return self.executor.execute(logical, resolution.table, context)
+        """Scan the full base table (``EXACT`` plans)."""
+        table = self.catalog.table(plan.logical.table)
+        context = ExecutionContext(exact=True, sample_name=None, scan_sink=sink)
+        with trace.span("dispatch", mode="exact", table=table.name) as dispatch:
+            result = self.executor.execute(plan.logical, table, context)
+            if self.simulator is not None and self.simulator.has_dataset(table.name):
+                with dispatch.span("estimate"):
+                    execution = self.simulator.simulate_scan(
+                        table.name, output_groups=max(1, len(result.groups))
+                    )
+                    result = replace(
+                        result, simulated_latency_seconds=execution.latency_seconds
+                    )
+        return result
 
-    # -- internals: partition pipeline ---------------------------------------------------
+    def _run_serial(
+        self, plan: PhysicalPlan, trace: AnyTrace, sink: ScanSink | None
+    ) -> QueryResult:
+        """Run a single-family plan on its resolution in one pass."""
+        assert plan.resolution is not None
+        with trace.span("dispatch", mode="serial", sample=plan.resolution.name) as dispatch:
+            result = self._run_on_resolution(plan, sink)
+            with dispatch.span("estimate"):
+                result = self._attach_latency(result, plan)
+        result.metadata["decision"] = self._decision(plan)
+        return result
+
     def _run_pipeline(
         self,
         plan: PhysicalPlan,
-        *,
         progress: ProgressCallback | None,
-        trace_span: AnySpan = NULL_SPAN,
-        sink: ScanSink | None = None,
-        wall_timeout_seconds: float | None = None,
-    ):
-        """Run a physical plan's partition layout through the pipeline."""
-        assert plan.selection is not None and plan.resolution is not None
-        spec: PartitionSpec = plan.partitioning or PartitionSpec(1, 1)
+        trace: AnyTrace,
+        sink: ScanSink | None,
+        wall_timeout_seconds: float | None,
+    ) -> QueryResult:
+        """Run a single-family plan's partition layout through the pipeline."""
+        spec = plan.partitioning
         resolution = plan.resolution
-        context = ExecutionContext(
-            weights=resolution.weights,
-            exact=False,
-            unit_weight_exact=plan.selection.covers_query,
-            rows_read=resolution.num_rows,
-            population_read=resolution.represented_rows,
-            sample_name=resolution.name,
-            scan_sink=sink,
-        )
-        pool = self._partition_pool()
-        backend, decline_reason = self._process_backend(
-            plan.logical, resolution, fallback=pool
-        )
-        if backend is not None and wall_timeout_seconds is not None:
-            backend.deadline = monotonic() + wall_timeout_seconds
-        result = self.pipeline.run(
-            plan.logical,
-            resolution.table,
-            context,
-            num_partitions=spec.num_partitions,
-            sim_workers=spec.sim_workers,
-            reference_workers=spec.reference_workers,
-            scan_latency_seconds=spec.scan_latency_seconds,
-            task_overhead_seconds=spec.task_overhead_seconds,
-            deadline_seconds=spec.deadline_seconds,
-            pool=backend if backend is not None else pool,
-            progress=progress,
-            trace_span=trace_span,
-        )
+        assert spec is not None and resolution is not None
+        with trace.span(
+            "partition-dispatch",
+            partitions=spec.num_partitions,
+            sample=resolution.name,
+        ) as dispatch:
+            pool = self._partition_pool()
+            backend, decline_reason = self._process_backend(
+                plan.logical, resolution, fallback=pool
+            )
+            if backend is not None and wall_timeout_seconds is not None:
+                backend.deadline = monotonic() + wall_timeout_seconds
+            result = self.pipeline.run(
+                plan.logical,
+                resolution.table,
+                self._context(plan, sink),
+                num_partitions=spec.num_partitions,
+                sim_workers=spec.sim_workers,
+                reference_workers=spec.reference_workers,
+                scan_latency_seconds=spec.scan_latency_seconds,
+                task_overhead_seconds=spec.task_overhead_seconds,
+                deadline_seconds=spec.deadline_seconds,
+                pool=backend if backend is not None else pool,
+                progress=progress,
+                trace_span=dispatch,
+            )
         # A pre-pipeline decline (breaker open, export failure, joins) never
         # reaches the backend seam, so surface its reason here — silent
         # thread fallback must stay visible in EXPLAIN ANALYZE and metrics.
@@ -526,7 +441,66 @@ class BlinkDBRuntime:
             if info is not None:
                 info.setdefault("fallback_reason", decline_reason)
         stats = result.metadata["partitions"]
-        return result, stats
+        decision = self._decision(
+            plan,
+            partitions=stats.num_partitions,
+            coverage=stats.coverage_population_fraction,
+        )
+        if decision.anytime:
+            with self._stats_lock:
+                self._anytime_queries_executed += 1
+        result.metadata["decision"] = decision
+        return result
+
+    @staticmethod
+    def _decision(
+        plan: PhysicalPlan, *, partitions: int = 1, coverage: float = 1.0
+    ) -> RuntimeDecision:
+        """The decision record of a single-family plan.
+
+        ``anytime`` marks only answers that are *actually* partial: a
+        deadline the schedule happened to fit completely is a full answer.
+        """
+        assert plan.selection is not None and plan.resolution is not None
+        predicted_error = predicted_latency = None
+        if plan.profile is not None:
+            entry = plan.profile.entry_for(plan.resolution)
+            predicted_error = entry.predicted_relative_error
+            predicted_latency = entry.predicted_latency_seconds
+        return RuntimeDecision(
+            family_key=plan.family_key,
+            family_reason=plan.selection.reason,
+            resolution_name=plan.resolution.name,
+            resolution_rows=plan.resolution.num_rows,
+            bound_satisfied=plan.bound_satisfied,
+            predicted_relative_error=predicted_error,
+            predicted_latency_seconds=predicted_latency,
+            profile=plan.profile,
+            probed_families=plan.probed_resolutions,
+            partitions=partitions,
+            anytime=plan.anytime and coverage < 1.0,
+            coverage_fraction=coverage,
+            plan=plan,
+        )
+
+    @staticmethod
+    def _context(bound: Bound, sink: ScanSink | None) -> ExecutionContext:
+        """How the executor reads a bound plan's sample resolution."""
+        resolution = bound.resolution
+        return ExecutionContext(
+            weights=resolution.weights,
+            exact=False,
+            unit_weight_exact=bound.selection.covers_query,
+            rows_read=resolution.num_rows,
+            population_read=resolution.represented_rows,
+            sample_name=resolution.name,
+            scan_sink=sink,
+        )
+
+    def _run_on_resolution(self, bound: Bound, sink: ScanSink | None) -> QueryResult:
+        return self.executor.execute(
+            bound.logical, bound.resolution.table, self._context(bound, sink)
+        )
 
     def _process_backend(
         self,
@@ -599,18 +573,12 @@ class BlinkDBRuntime:
         if procpool is not None and epoch is not None:
             procpool.release_epoch(epoch)
 
-    def _attach_latency(
-        self,
-        result: QueryResult,
-        selection: FamilySelection,
-        resolution: SampleResolution,
-        probe: ProbeResult,
-        logical: LogicalPlan | None = None,
-    ) -> QueryResult:
+    def _attach_latency(self, result: QueryResult, bound: Bound) -> QueryResult:
+        resolution = bound.resolution
         if self.simulator is None or not self.simulator.has_dataset(resolution.name):
             return result
         rows_to_read, reuse_rows = self.planner.scan_parameters(
-            selection, resolution, probe, logical
+            bound.selection, resolution, bound.probe, bound.logical
         )
         execution = self.simulator.simulate_scan(
             resolution.name,
@@ -622,11 +590,7 @@ class BlinkDBRuntime:
 
     # -- internals: disjunctive path (§4.1.2) --------------------------------------------------
     def _execute_disjunctive(
-        self,
-        plan: PhysicalPlan,
-        *,
-        trace: AnyTrace = NULL_TRACE,
-        sink: ScanSink | None = None,
+        self, plan: PhysicalPlan, trace: AnyTrace, sink: ScanSink | None
     ) -> QueryResult:
         branch_results: list[QueryResult] = []
         total_rows_read = 0
@@ -637,19 +601,8 @@ class BlinkDBRuntime:
             with trace.span(
                 "branch", index=index, sample=branch_plan.resolution.name
             ):
-                result = self._run_on_resolution(
-                    branch_plan.logical,
-                    branch_plan.selection,
-                    branch_plan.resolution,
-                    sink=sink,
-                )
-                result = self._attach_latency(
-                    result,
-                    branch_plan.selection,
-                    branch_plan.resolution,
-                    branch_plan.probe,
-                    branch_plan.logical,
-                )
+                result = self._run_on_resolution(branch_plan, sink)
+                result = self._attach_latency(result, branch_plan)
             branch_results.append(result)
             total_rows_read += result.rows_read
             if result.simulated_latency_seconds is not None:
@@ -685,5 +638,4 @@ class BlinkDBRuntime:
             branches=len(plan.branch_plans),
             plan=plan,
         )
-        result.metadata["plan"] = plan
         return result

@@ -1,8 +1,12 @@
 """Tests for compiled predicate kernels (zone-map triage + selection vectors)."""
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
+from repro.common.errors import ExecutionError
+from repro.engine.executor import ExecutionContext, QueryExecutor
 from repro.engine.expressions import evaluate_predicate
 from repro.engine.kernels import ScanCounters, compile_predicate
 from repro.planner.logical import LogicalPlan
@@ -90,6 +94,25 @@ class TestSelectionEquivalence:
         kernel = compile_predicate(plan.where, t, t.zone_map_index(2))
         expected = np.flatnonzero(evaluate_predicate(plan.where, t))
         assert kernel.select_range(t, 0, 5).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("accelerated", [True, False])
+    def test_foreign_predicate_raises_on_both_paths(self, table, accelerated):
+        # Neither the kernel compiler nor the mask path knows this type, so
+        # the kernel path has no fallback that could answer: both raise.
+        @dataclass(frozen=True)
+        class Foreign:
+            column: str = "a"
+
+        plan = replace(LogicalPlan.of("SELECT COUNT(*) FROM t WHERE a < 3"), where=Foreign())
+        executor = QueryExecutor(scan_acceleration=accelerated, zone_block_rows=16)
+        with pytest.raises(ExecutionError, match="unsupported predicate type"):
+            executor.count_matching(plan, table)
+        with pytest.raises(ExecutionError, match="unsupported predicate type"):
+            evaluate_predicate(plan.where, table)
+        # execute() rejects the type earlier still, while collecting the
+        # columns the plan references, so no filter stage ever sees it.
+        with pytest.raises(TypeError, match="unknown predicate type"):
+            executor.execute(plan, table, ExecutionContext())
 
 
 class TestZoneClassification:
@@ -282,8 +305,6 @@ class TestKernelCacheLifetime:
         import gc
         import weakref
 
-        from repro.engine.executor import QueryExecutor
-
         executor = QueryExecutor(scan_acceleration=True, zone_block_rows=8)
         plan = LogicalPlan.of("SELECT COUNT(*) FROM t WHERE a < 3")
         table = Table.from_dict("t", {"a": list(range(32))})
@@ -294,7 +315,7 @@ class TestKernelCacheLifetime:
         assert ref() is None
 
     def test_per_table_kernel_cache_is_bounded(self, table):
-        from repro.engine.executor import _KERNEL_CACHE_ENTRIES, QueryExecutor
+        from repro.engine.executor import _KERNEL_CACHE_ENTRIES
 
         executor = QueryExecutor(scan_acceleration=True, zone_block_rows=16)
         for v in range(_KERNEL_CACHE_ENTRIES + 20):
@@ -306,8 +327,6 @@ class TestKernelCacheLifetime:
 
 class TestPartitionTriage:
     def test_zone_annotated_blocks_drive_whole_partition_skips(self, table):
-        from repro.engine.executor import QueryExecutor
-
         executor = QueryExecutor(scan_acceleration=True, zone_block_rows=16)
         plan = LogicalPlan.of("SELECT COUNT(*) FROM t WHERE a < 30")
         blocks = table.block_set(num_partitions=4, zone_maps=True)

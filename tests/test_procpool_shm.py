@@ -273,8 +273,6 @@ class TestConfigValidation:
             BlinkDBConfig(partition_workers=0)
         with pytest.raises(ValueError, match="procpool_workers"):
             BlinkDBConfig(procpool_workers=-1)
-        with pytest.raises(ValueError, match="max_partitions"):
-            BlinkDBConfig(max_partitions=0)
 
     def test_oversubscription_warns(self):
         cpu = os.cpu_count() or 1

@@ -1,9 +1,12 @@
 """Tests for the partition-parallel pipeline and the runtime's anytime path."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.common.config import BlinkDBConfig, ClusterConfig, SamplingConfig
+from repro.common.errors import ConstraintUnsatisfiableError
 from repro.core.blinkdb import BlinkDB
 from repro.engine.executor import ExecutionContext, QueryExecutor
 from repro.runtime.partitioned import PartitionPipeline
@@ -258,6 +261,32 @@ class TestRuntimeAnytime:
         )
         assert piped.scalar().value == pytest.approx(plain.scalar().value, rel=1e-9)
         assert piped.metadata["decision"].partitions == 8
+
+    def test_execute_partitioned_shares_the_execute_path(self, anytime_db, monkeypatch):
+        # A deadline-cut partitioned run is counted, predicted, traced and
+        # bound-checked exactly like the same query answered by execute().
+        sql = "SELECT COUNT(*) FROM sessions WHERE city = 'city_0001' WITHIN 0.05 SECONDS"
+        runtime = anytime_db.runtime
+        before = runtime.stats
+        trace = runtime.obs.tracer.begin(force=True, table="sessions")
+        piped = runtime.execute_partitioned(sql, deadline_seconds=0.05, trace=trace)
+        decision = piped.metadata["decision"]
+        assert decision.anytime and decision.coverage_fraction < 1.0
+        after = runtime.stats
+        assert after["anytime_queries_executed"] == before["anytime_queries_executed"] + 1
+        assert after["queries_executed"] == before["queries_executed"] + 1
+
+        plain = runtime.execute(sql).metadata["decision"]
+        assert decision.predicted_latency_seconds is not None
+        assert decision.predicted_latency_seconds == plain.predicted_latency_seconds
+        assert decision.predicted_relative_error == plain.predicted_relative_error
+
+        names = {span.name for span in trace.spans()}
+        assert {"select-family", "size-resolution", "scan-estimate"} <= names
+
+        monkeypatch.setattr(runtime, "config", replace(runtime.config, strict_bounds=True))
+        with pytest.raises(ConstraintUnsatisfiableError):
+            runtime.execute_partitioned(sql, deadline_seconds=0.05)
 
     def test_execute_partitioned_worker_sweep_speedup(self, anytime_db):
         sql = "SELECT SUM(session_time) FROM sessions WHERE dt = 5"
