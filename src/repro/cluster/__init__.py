@@ -14,7 +14,7 @@ numbers reflect (§6.2, §6.5).
 
 from repro.cluster.cost_model import CostModel, ScanEstimate, StorageTier
 from repro.cluster.node import Node
-from repro.cluster.placement import BlockPlacement, place_blocks
+from repro.cluster.placement import round_robin_bytes
 from repro.cluster.simulator import ClusterSimulator, SimulatedExecution
 
 __all__ = [
@@ -22,8 +22,7 @@ __all__ = [
     "ScanEstimate",
     "StorageTier",
     "Node",
-    "BlockPlacement",
-    "place_blocks",
+    "round_robin_bytes",
     "ClusterSimulator",
     "SimulatedExecution",
 ]

@@ -1,7 +1,8 @@
 """The cluster simulator: datasets placed on nodes plus a latency oracle.
 
-This module glues together :class:`~repro.cluster.node.Node`,
-:class:`~repro.cluster.placement.BlockPlacement`, and
+This module glues together :class:`~repro.cluster.node.Node`, the
+closed-form round-robin placement of
+:func:`~repro.cluster.placement.round_robin_bytes`, and
 :class:`~repro.cluster.cost_model.CostModel`.  The rest of the library
 registers *logical datasets* (base tables, sample resolutions) with the
 simulator, declaring how many rows they have at the simulated scale and how
@@ -25,8 +26,7 @@ from repro.common.config import ClusterConfig
 from repro.common.errors import CatalogError
 from repro.cluster.cost_model import CostModel, ScanEstimate, StorageTier
 from repro.cluster.node import Node
-from repro.cluster.placement import BlockPlacement, place_blocks
-from repro.storage.block import BlockSet, split_into_blocks
+from repro.cluster.placement import round_robin_bytes
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,6 @@ class ClusterSimulator:
         self.cost_model = CostModel(self.config)
         self.nodes = [Node(node_id=i, config=self.config) for i in range(self.config.num_nodes)]
         self._datasets: dict[str, DatasetInfo] = {}
-        self._blocks: dict[str, BlockSet] = {}
-        self._placements: dict[str, BlockPlacement] = {}
         self._next_start_node = 0
 
     # -- dataset registration -----------------------------------------------------
@@ -92,7 +90,7 @@ class ClusterSimulator:
         row_width_bytes: int,
         cache: bool | float = False,
     ) -> DatasetInfo:
-        """Register a logical dataset and place its blocks on the cluster.
+        """Register a logical dataset and spread its blocks over the nodes.
 
         Parameters
         ----------
@@ -114,11 +112,15 @@ class ClusterSimulator:
         requested_fraction = min(1.0, max(0.0, requested_fraction))
 
         size_bytes = num_rows * row_width_bytes
-        blocks = split_into_blocks(name, num_rows, row_width_bytes, self.config.hdfs_block_bytes)
-        placement = place_blocks(blocks, self.config.num_nodes, self._next_start_node)
+        bytes_per_node = round_robin_bytes(
+            num_rows,
+            row_width_bytes,
+            self.config.hdfs_block_bytes,
+            self.config.num_nodes,
+            self._next_start_node,
+        )
         self._next_start_node = (self._next_start_node + 1) % self.config.num_nodes
 
-        bytes_per_node = placement.bytes_per_node(blocks, self.config.num_nodes)
         cached_total = 0
         for node, node_bytes in zip(self.nodes, bytes_per_node):
             node.store(name, node_bytes)
@@ -134,8 +136,6 @@ class ClusterSimulator:
             requested_cache_fraction=requested_fraction,
         )
         self._datasets[name] = info
-        self._blocks[name] = blocks
-        self._placements[name] = placement
         return info
 
     def register_nested_dataset(self, name: str, parent: str, num_rows: int) -> DatasetInfo:
@@ -205,8 +205,6 @@ class ClusterSimulator:
             raise CatalogError(f"unknown dataset {name!r}")
         info = self._datasets.pop(name)
         if info.parent is None:
-            del self._blocks[name]
-            del self._placements[name]
             for node in self.nodes:
                 node.disk_bytes.pop(name, None)
                 node.cached_bytes.pop(name, None)

@@ -37,6 +37,7 @@ re-plan path when a family's staleness exceeds the configured budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,7 @@ from repro.common.rng import index_uniforms, stable_rng
 from repro.ingest.batch import ColumnBatch, batch_num_rows
 from repro.sampling.family import StratifiedSampleFamily, UniformSampleFamily
 from repro.sampling.resolution import SampleResolution
-from repro.storage.table import Table
+from repro.storage.table import Table, decode_group_keys, group_ids
 
 
 @dataclass
@@ -230,7 +231,7 @@ class StratifiedFamilyMaintainer:
         delta = MaintenanceDelta(family=f"{self.table_name}/strat({','.join(self.columns)})")
 
         grouped = (
-            pregrouped
+            _with_shared_nan(pregrouped)
             if pregrouped is not None
             else _group_batch_by_stratum(batch, self.columns)
         )
@@ -311,38 +312,30 @@ def _group_batch_by_stratum(
 ) -> dict[tuple, np.ndarray]:
     """Batch row positions grouped by stratum key (vectorized).
 
-    A mixed-radix combination of per-column ``np.unique`` codes replaces a
-    per-row Python loop — this runs under the facade's exclusive write lock
-    for every batch and family.  Keys are decoded to plain Python values so
-    they collide correctly with the anchor's ``group_codes`` decode.
+    Uses the same mixed-radix grouping and key decode as
+    :meth:`Table.group_codes` — this runs under the facade's exclusive write
+    lock for every batch and family — so batch keys collide correctly with
+    the anchor's keys.
     """
-    uniques_list: list[np.ndarray] = []
-    codes_list: list[np.ndarray] = []
-    for name in columns:
-        uniques, inverse = np.unique(batch[name], return_inverse=True)
-        uniques_list.append(uniques)
-        codes_list.append(inverse.astype(np.int64))
-    combined = codes_list[0]
-    for uniques, codes in zip(uniques_list[1:], codes_list[1:]):
-        combined = combined * uniques.shape[0] + codes
-    group_keys, group_inverse = np.unique(combined, return_inverse=True)
-    order = np.argsort(group_inverse, kind="stable")
-    bounds = np.searchsorted(group_inverse[order], np.arange(group_keys.shape[0] + 1))
+    arrays = [batch[name] for name in columns]
+    dictionaries = [None] * len(arrays)
+    codes, num_groups = group_ids(arrays, dictionaries)
+    keys = decode_group_keys(arrays, dictionaries, codes, num_groups)
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(num_groups + 1))
+    return {key: order[bounds[g]:bounds[g + 1]] for g, key in enumerate(keys)}
 
-    grouped: dict[tuple, np.ndarray] = {}
-    for g in range(group_keys.shape[0]):
-        code = int(group_keys[g])
-        parts = []
-        for uniques in reversed(uniques_list[1:]):
-            code, remainder = divmod(code, uniques.shape[0])
-            parts.append(uniques[remainder])
-        parts.append(uniques_list[0][code])
-        key = tuple(
-            value.item() if hasattr(value, "item") else value
-            for value in reversed(parts)
-        )
-        grouped[key] = order[bounds[g]:bounds[g + 1]]
-    return grouped
+
+def _with_shared_nan(grouped: dict[tuple, np.ndarray]) -> dict[tuple, np.ndarray]:
+    """Map NaN key parts back to :data:`math.nan`.
+
+    Keys that crossed a process boundary were pickled, which copies the
+    shared NaN object, and a copy no longer finds its stratum in a dict.
+    """
+    return {
+        tuple(math.nan if part != part else part for part in key): positions
+        for key, positions in grouped.items()
+    }
 
 
 def stratified_prepare_task(

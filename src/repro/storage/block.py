@@ -223,6 +223,15 @@ def split_into_row_ranges(dataset: str, num_rows: int, num_partitions: int) -> B
     return BlockSet(dataset, blocks)
 
 
+def rows_per_block(row_width_bytes: int, block_bytes: int) -> int:
+    """Rows in each full block: as many as fit in ``block_bytes``, at least one."""
+    if row_width_bytes <= 0:
+        raise ValueError("row_width_bytes must be positive")
+    if block_bytes <= 0:
+        raise ValueError("block_bytes must be positive")
+    return max(1, block_bytes // row_width_bytes)
+
+
 def split_into_blocks(
     dataset: str,
     num_rows: int,
@@ -236,16 +245,12 @@ def split_into_blocks(
     """
     if num_rows < 0:
         raise ValueError("num_rows must be non-negative")
-    if row_width_bytes <= 0:
-        raise ValueError("row_width_bytes must be positive")
-    if block_bytes <= 0:
-        raise ValueError("block_bytes must be positive")
-    rows_per_block = max(1, block_bytes // row_width_bytes)
+    per_block = rows_per_block(row_width_bytes, block_bytes)
     blocks: list[Block] = []
     start = 0
     index = 0
     while start < num_rows:
-        end = min(start + rows_per_block, num_rows)
+        end = min(start + per_block, num_rows)
         blocks.append(
             Block(
                 dataset=dataset,

@@ -311,7 +311,5 @@ def joint_frequencies(table: Table, columns: Sequence[str]) -> np.ndarray:
     Returned as a plain (unordered) array of counts; used by the skew metric
     and the storage-cost estimator without needing the actual key values.
     """
-    codes, keys = table.group_codes(list(columns))
-    if not keys:
-        return np.zeros(0, dtype=np.int64)
-    return np.bincount(codes, minlength=len(keys)).astype(np.int64)
+    codes, num_groups = table._group_counts(columns)
+    return np.bincount(codes, minlength=num_groups).astype(np.int64)

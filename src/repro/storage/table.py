@@ -9,6 +9,7 @@ optimizer can reason about bytes without real multi-terabyte data.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -326,28 +327,32 @@ class Table:
         ``i`` and ``keys[g]`` is the decoded composite key of group ``g``.
         This is the backbone of both group-by aggregation and stratified
         sampling.
+
+        Groups are numbered in lexicographic order of (column order, value),
+        where a STRING column orders by dictionary code, not by label.  Keys
+        hold ``dictionary[code]`` for STRING columns and plain Python
+        scalars for the rest.  All NaN rows of a FLOAT column form one
+        group, ordered after every number, and its key holds the shared
+        :data:`math.nan` object, so keys from separate calls match as dict
+        keys.
         """
+        arrays, dictionaries = self._group_columns(names)
+        codes, num_groups = group_ids(arrays, dictionaries)
+        return codes, decode_group_keys(arrays, dictionaries, codes, num_groups)
+
+    def _group_columns(
+        self, names: Sequence[str]
+    ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
         names = list(names)
         if not names:
             raise SchemaError("group_codes requires at least one column")
         self.schema.validate_columns(names)
-        if self._num_rows == 0:
-            return np.empty(0, dtype=np.int64), []
-        arrays = [self._columns[n].data for n in names]
-        stacked = np.rec.fromarrays(arrays)
-        uniques, codes = np.unique(stacked, return_inverse=True)
-        keys: list[tuple] = []
-        dictionaries = [self._columns[n].dictionary for n in names]
-        for record in uniques:
-            key = []
-            for field_index, dictionary in enumerate(dictionaries):
-                raw = record[field_index]
-                if dictionary is not None:
-                    key.append(dictionary[int(raw)])
-                else:
-                    key.append(raw.item() if hasattr(raw, "item") else raw)
-            keys.append(tuple(key))
-        return codes.astype(np.int64), keys
+        columns = [self._columns[n] for n in names]
+        return [c.data for c in columns], [c.dictionary for c in columns]
+
+    def _group_counts(self, names: Sequence[str]) -> tuple[np.ndarray, int]:
+        """``(codes, num_groups)`` of :meth:`group_codes`, without decoding keys."""
+        return group_ids(*self._group_columns(names))
 
     def value_frequencies(self, names: Sequence[str]) -> dict[tuple, int]:
         """Frequency ``F(φ, T, x)`` of every distinct value combination of φ."""
@@ -359,8 +364,7 @@ class Table:
         """``|D(φ)|`` — number of distinct value combinations in φ."""
         if not names:
             return 0
-        _, keys = self.group_codes(names)
-        return len(keys)
+        return self._group_counts(names)[1]
 
     def to_dict(self) -> dict[str, list]:
         """Materialise the table as plain Python lists (for tests and display)."""
@@ -371,3 +375,98 @@ class Table:
         decoded = {n: self._columns[n].values() for n in self.schema.names}
         for i in range(self._num_rows):
             yield {n: decoded[n][i] for n in self.schema.names}
+
+
+# -- group keys --------------------------------------------------------------------------
+_INT64_MAX = 2**63 - 1
+#: Keys whose radix is at most this many times the row count are ranked by
+#: counting over the radix (O(rows + radix)) instead of by a sort.
+_COUNTING_RADIX_PER_ROW = 8
+
+
+def group_ids(
+    arrays: Sequence[np.ndarray], dictionaries: Sequence[np.ndarray | None]
+) -> tuple[np.ndarray, int]:
+    """Dense group ids of the rows of equal-length ``arrays``: ``(codes, num_groups)``.
+
+    Each column becomes an order-preserving digit (see :func:`_digit`).
+    The digits combine, most significant first, into one int64 key.  When
+    the next multiply could pass 2^63 - 1, the partial key is re-densified
+    first, so its radix drops to the combinations present (at most the row
+    count).  Group ids number the distinct keys in ascending order, which
+    is lexicographic order of the digits.
+    """
+    if len(arrays[0]) == 0:
+        return np.empty(0, dtype=np.int64), 0
+    key, radix = None, 1
+    for data, dictionary in zip(arrays, dictionaries):
+        digit, digit_radix = _digit(data, dictionary)
+        if key is None:
+            key, radix = digit, digit_radix
+            continue
+        if radix * digit_radix > _INT64_MAX:
+            key, radix = _densify(key, radix)
+        if radix * digit_radix > _INT64_MAX:
+            digit, digit_radix = _densify(digit, digit_radix)
+        key = key * digit_radix + digit
+        radix *= digit_radix
+    return _densify(key, radix)
+
+
+def _digit(data: np.ndarray, dictionary: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """``(digit, radix)``: an order-preserving int64 digit per row, below ``radix``.
+
+    A dictionary column's codes, radix ``len(dictionary)``; an integer or
+    bool column with a narrow range, its offset from the minimum; anything
+    else, the rank among its distinct values (NaN is one value, last).
+    """
+    if dictionary is not None:
+        return data.astype(np.int64, copy=False), len(dictionary)
+    if data.dtype.kind in "ib":
+        low, high = int(data.min()), int(data.max())
+        if high - low < _COUNTING_RADIX_PER_ROW * data.shape[0]:
+            return data.astype(np.int64) - low, high - low + 1
+    return _densify(data)
+
+
+def _densify(values: np.ndarray, radix: int | None = None) -> tuple[np.ndarray, int]:
+    """Rank of each value among the distinct values, and their number.
+
+    ``radix`` (when known) bounds non-negative integer ``values``; a small
+    one is ranked by counting instead of sorting.
+    """
+    if radix is not None and radix <= _COUNTING_RADIX_PER_ROW * values.shape[0]:
+        rank = np.cumsum(np.bincount(values, minlength=radix) > 0) - 1
+        return rank[values], int(rank[-1]) + 1
+    uniques, inverse = np.unique(values, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), int(uniques.shape[0])
+
+
+def decode_group_keys(
+    arrays: Sequence[np.ndarray],
+    dictionaries: Sequence[np.ndarray | None],
+    codes: np.ndarray,
+    num_groups: int,
+) -> list[tuple]:
+    """The composite key of each of the ``num_groups`` groups of ``codes``.
+
+    Reads the values of one row per group: ``dictionary[code]`` for
+    dictionary columns, Python scalars for the rest, with every NaN
+    decoded to :data:`math.nan`.
+    """
+    if num_groups == 0:
+        return []
+    rows = np.empty(num_groups, dtype=np.int64)
+    rows[codes] = np.arange(codes.shape[0], dtype=np.int64)
+    parts: list[list] = []
+    for data, dictionary in zip(arrays, dictionaries):
+        values = data[rows]
+        if dictionary is not None:
+            parts.append(list(dictionary[values]))
+            continue
+        decoded = values.tolist()
+        if values.dtype.kind == "f":
+            for i in np.flatnonzero(np.isnan(values)).tolist():
+                decoded[i] = math.nan
+        parts.append(decoded)
+    return list(zip(*parts))

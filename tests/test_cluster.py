@@ -7,7 +7,7 @@ from repro.common.errors import CatalogError
 from repro.common.units import GB, MB, TB
 from repro.cluster.cost_model import CostModel, StorageTier
 from repro.cluster.node import Node
-from repro.cluster.placement import place_blocks
+from repro.cluster.placement import round_robin_bytes
 from repro.cluster.simulator import ClusterSimulator
 from repro.storage.block import split_into_blocks
 
@@ -53,24 +53,58 @@ class TestNode:
             node.store("t", -1)
 
 
+def _enumerated_bytes(num_rows, row_width, block_bytes, num_nodes, start_node):
+    """Round-robin placement by enumerating every block."""
+    totals = [0] * num_nodes
+    for i, block in enumerate(split_into_blocks("t", num_rows, row_width, block_bytes)):
+        totals[(start_node + i) % num_nodes] += block.size_bytes
+    return totals
+
+
 class TestPlacement:
     def test_round_robin_balances_bytes(self, config):
-        blocks = split_into_blocks("t", 10_000_000, 100, 128 * MB)
-        placement = place_blocks(blocks, config.num_nodes)
-        per_node = placement.bytes_per_node(blocks, config.num_nodes)
+        per_node = round_robin_bytes(10_000_000, 100, 128 * MB, config.num_nodes)
         assert max(per_node) - min(per_node) <= 128 * MB
 
     def test_start_node_rotation(self):
-        blocks = split_into_blocks("t", 1000, 100, 10_000)
-        a = place_blocks(blocks, 4, start_node=0)
-        b = place_blocks(blocks, 4, start_node=1)
-        assert a.node_of(blocks[0]) != b.node_of(blocks[0])
+        # 1000 rows of 100 bytes in 10 kB blocks: ten blocks over four nodes,
+        # so the first two nodes after start_node hold one block more.
+        a = round_robin_bytes(1000, 100, 10_000, 4, start_node=0)
+        b = round_robin_bytes(1000, 100, 10_000, 4, start_node=1)
+        assert a == [30_000, 30_000, 20_000, 20_000]
+        assert b == [20_000, 30_000, 30_000, 20_000]
 
-    def test_blocks_on_node(self):
-        blocks = split_into_blocks("t", 1000, 100, 10_000)
-        placement = place_blocks(blocks, 3)
-        found = sum(len(placement.blocks_on_node(n, blocks)) for n in range(3))
-        assert found == len(blocks)
+    def test_bytes_sum_to_dataset_size(self):
+        per_node = round_robin_bytes(1001, 100, 10_000, 3)
+        assert sum(per_node) == 1001 * 100
+
+    @pytest.mark.parametrize("num_rows", [0, 1, 99, 100, 101, 250, 399, 400, 401, 1234])
+    @pytest.mark.parametrize("num_nodes", [1, 3, 4, 7])
+    @pytest.mark.parametrize("start_node", [0, 2, 5])
+    def test_matches_block_enumeration(self, num_rows, num_nodes, start_node):
+        # 100 rows per 1 kB block: covers zero rows, one row, fewer blocks
+        # than nodes, exact multiples of the block and of the node count,
+        # and a short tail block.
+        assert round_robin_bytes(num_rows, 10, 1000, num_nodes, start_node) == (
+            _enumerated_bytes(num_rows, 10, 1000, num_nodes, start_node)
+        )
+
+    @pytest.mark.parametrize("row_width", [1, 7, 333, 1000, 4096])
+    def test_matches_block_enumeration_across_row_widths(self, row_width):
+        # Widths that do not divide the block size, and rows wider than a
+        # block (one row per block).
+        for num_rows in (0, 1, 5, 17, 1000):
+            assert round_robin_bytes(num_rows, row_width, 1000, 5, 3) == (
+                _enumerated_bytes(num_rows, row_width, 1000, 5, 3)
+            )
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            round_robin_bytes(10, 10, 1000, 0)
+        with pytest.raises(ValueError):
+            round_robin_bytes(-1, 10, 1000, 3)
+        with pytest.raises(ValueError):
+            round_robin_bytes(10, 0, 1000, 3)
 
 
 class TestCostModel:

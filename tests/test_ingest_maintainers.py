@@ -8,12 +8,17 @@ fencing, escalation, and the controller's batching/backpressure contract.
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.common.config import BlinkDBConfig, ClusterConfig, SamplingConfig
 from repro.core.blinkdb import BlinkDB
-from repro.sampling.family import verify_nesting
+from repro.ingest.maintainers import StratifiedFamilyMaintainer, stratified_prepare_task
+from repro.sampling.family import StratifiedSampleFamily, verify_nesting
+from repro.storage.table import Table
 from repro.workloads.conviva import conviva_query_templates, generate_sessions_table
 
 
@@ -264,3 +269,22 @@ def test_numpy_int64_indices_do_not_break_grouping():
     db.append("sessions", batch)
     frequencies_after = db.catalog.table("sessions").value_frequencies(["endedflag"])
     assert set(frequencies_after) == set(frequencies_before)
+
+
+@pytest.mark.parametrize("pickled", [False, True])
+def test_nan_stratum_stays_one_stratum_across_appends(pickled):
+    # The anchor's keys come from Table.group_codes and the batch's from the
+    # batch grouping (or, on the process pool, from a pickled copy of it);
+    # all NaN rows are one stratum, and the batch's NaN rows must find it.
+    nan = float("nan")
+    table = Table.from_dict("t", {"x": [1.0, nan, nan, 2.0] * 10, "v": [float(i) for i in range(40)]})
+    config = SamplingConfig(largest_cap=8, min_cap=2)
+    family = StratifiedSampleFamily.build(table, ("x",), config)
+    maintainer = StratifiedFamilyMaintainer("t", family, table)
+    batch = {"x": np.array([nan, nan, 1.0]), "v": np.array([0.0, 1.0, 2.0])}
+    grouped = stratified_prepare_task({"x": batch["x"]}, ("x",))
+    grouped = pickle.loads(pickle.dumps(grouped)) if pickled else None
+    _, delta = maintainer.apply(table.append_batch(batch), batch, table.num_rows, pregrouped=grouped)
+    assert delta.new_strata == 0
+    largest = maintainer.family.largest.table
+    assert largest.value_frequencies(["x"]) == {(1.0,): 8, (2.0,): 8, (math.nan,): 8}

@@ -1,9 +1,13 @@
 """Tests for repro.storage.table."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.common.errors import SchemaError
+from repro.engine.executor import execute_exact
+from repro.sql.parser import parse_query
 from repro.storage.column import Column
 from repro.storage.table import Table
 
@@ -106,6 +110,25 @@ class TestGrouping:
     def test_group_codes_requires_columns(self, table):
         with pytest.raises(SchemaError):
             table.group_codes([])
+
+    def test_nan_rows_form_one_group(self):
+        nan = float("nan")
+        table = Table.from_dict("t", {"x": [nan, 1.0, nan, nan], "y": [0, 0, 0, 1]})
+        codes, keys = table.group_codes(["x"])
+        assert codes.tolist() == [1, 0, 1, 1]
+        assert len(keys) == 2 and keys[0] == (1.0,)
+        # One shared NaN object, so keys from separate calls are equal dict keys.
+        assert keys[1][0] is math.nan
+        assert table.group_codes(["x", "y"])[1][1:] == [(math.nan, 0), (math.nan, 1)]
+        assert table.distinct_count(["x"]) == 2
+        assert table.distinct_count(["x", "y"]) == 3
+        assert table.value_frequencies(["x"]) == {(1.0,): 1, (math.nan,): 3}
+        assert table.value_frequencies(["x", "y"]) == {
+            (1.0, 0): 1, (math.nan, 0): 2, (math.nan, 1): 1,
+        }
+        result = execute_exact(parse_query("SELECT COUNT(*) FROM t GROUP BY x"), table)
+        counts = [(g.key, g["count_star"].value) for g in result]
+        assert counts == [((1.0,), 1), ((math.nan,), 3)]
 
 
 class TestConversion:
