@@ -20,6 +20,18 @@ M2) rather than raw power sums, so merging is numerically stable even when
 the values' mean dwarfs their spread.  Weighted second moments are kept
 *centered* for the same reason (see :class:`_CenteredMoment`).
 
+One weight pass per group
+-------------------------
+The executor folds a group's rows into every state of the group through
+:meth:`AggregateState.fold`.  A :class:`WeightFold` reduces the group's
+weights to their :class:`WeightMoments` once, and a :class:`ColumnFold`
+computes each product one state needs from a column (``Σ w·x``, the value
+moments, the deviations about the mean) at most once.  Every shared
+quantity is the exact float the per-state computation produced, so a fold
+is bit-identical to calling :meth:`AggregateState.update` once per state.
+Reductions use the array methods (``a.sum()``), which run the same
+``ufunc.reduce`` as ``np.sum(a)`` without its dispatch wrapper.
+
 Anytime answers
 ---------------
 ``finalize`` accepts a ``weight_scale`` factor ``c >= 1``: when only a
@@ -37,6 +49,7 @@ import math
 import pickle
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,8 +102,8 @@ class ValueMoments:
         n = int(values.shape[0])
         if n == 0:
             return cls()
-        mean = float(np.mean(values))
-        m2 = float(np.sum((values - mean) ** 2))
+        mean = float(values.mean())
+        m2 = float(((values - mean) ** 2).sum())
         return cls(n=n, mean=mean, m2=m2)
 
     @classmethod
@@ -104,8 +117,8 @@ class ValueMoments:
         n = int(lengths.sum())
         if n == 0:
             return cls()
-        mean = float(np.sum(lengths * values)) / n
-        m2 = float(np.sum(lengths * (values - mean) ** 2))
+        mean = float((lengths * values).sum()) / n
+        m2 = float((lengths * (values - mean) ** 2).sum())
         return cls(n=n, mean=mean, m2=m2)
 
     def merge(self, other: "ValueMoments") -> None:
@@ -152,23 +165,10 @@ class _CenteredMoment:
     center: float = 0.0
 
     @classmethod
-    def from_arrays(cls, coeff: np.ndarray, values: np.ndarray) -> "_CenteredMoment":
-        if values.shape[0] == 0:
-            return cls()
-        center = float(np.mean(values))
-        deviations = values - center
-        return cls(
-            total=float(np.sum(coeff)),
-            linear=float(np.sum(coeff * deviations)),
-            square=float(np.sum(coeff * deviations**2)),
-            center=center,
-        )
-
-    @classmethod
     def from_runs(
         cls, coeff: np.ndarray, values: np.ndarray, lengths: np.ndarray
     ) -> "_CenteredMoment":
-        """``from_arrays`` over run-length-encoded rows, closed form.
+        """:meth:`ColumnFold.centered` over run-length-encoded rows, closed form.
 
         Each (coeff, value) pair stands for ``lengths`` identical rows; the
         center is movable, so the run-weighted mean is as good an anchor as
@@ -177,13 +177,13 @@ class _CenteredMoment:
         n = int(lengths.sum())
         if n == 0:
             return cls()
-        center = float(np.sum(lengths * values)) / n
+        center = float((lengths * values).sum()) / n
         deviations = values - center
         weighted = lengths * coeff
         return cls(
-            total=float(np.sum(weighted)),
-            linear=float(np.sum(weighted * deviations)),
-            square=float(np.sum(weighted * deviations**2)),
+            total=float(weighted.sum()),
+            linear=float((weighted * deviations).sum()),
+            square=float((weighted * deviations**2).sum()),
             center=center,
         )
 
@@ -255,10 +255,10 @@ class WeightMoments:
             return cls()
         return cls(
             n=n,
-            sum_w=float(np.sum(weights)),
-            sum_w2=float(np.sum(weights * weights)),
-            min_w=float(np.min(weights)),
-            max_w=float(np.max(weights)),
+            sum_w=float(weights.sum()),
+            sum_w2=float((weights * weights).sum()),
+            min_w=float(weights.min()),
+            max_w=float(weights.max()),
         )
 
     @classmethod
@@ -269,10 +269,10 @@ class WeightMoments:
             return cls()
         return cls(
             n=n,
-            sum_w=float(np.sum(lengths * weights)),
-            sum_w2=float(np.sum(lengths * weights * weights)),
-            min_w=float(np.min(weights)),
-            max_w=float(np.max(weights)),
+            sum_w=float((lengths * weights).sum()),
+            sum_w2=float((lengths * weights * weights).sum()),
+            min_w=float(weights.min()),
+            max_w=float(weights.max()),
         )
 
     def merge(self, other: "WeightMoments") -> None:
@@ -302,6 +302,78 @@ class WeightMoments:
         return cls(n=n, sum_w=sum_w, sum_w2=sum_w2, min_w=min_w, max_w=max_w)
 
 
+# -- one group's fold inputs ---------------------------------------------------------
+
+
+class WeightFold:
+    """One group's matching weights, reduced once for every state of the group."""
+
+    __slots__ = ("array", "squared", "moments")
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+        self.squared = array * array
+        n = int(array.shape[0])
+        self.moments = (
+            WeightMoments(
+                n=n,
+                sum_w=float(array.sum()),
+                sum_w2=float(self.squared.sum()),
+                min_w=float(array.min()),
+                max_w=float(array.max()),
+            )
+            if n
+            else WeightMoments()
+        )
+
+
+class ColumnFold:
+    """One column's matching values in a group, for one state's fold.
+
+    Each product is computed on first use and reused by the state's later
+    terms (``AvgState`` needs the deviations for its value moments and its
+    centered moment); each is the float the per-state expression gave.
+    """
+
+    def __init__(self, array: np.ndarray, weights: WeightFold) -> None:
+        self.array = array
+        self.weights = weights
+
+    @cached_property
+    def center(self) -> float:
+        return float(self.array.mean())
+
+    @cached_property
+    def deviations(self) -> np.ndarray:
+        return self.array - self.center
+
+    @cached_property
+    def squared_deviations(self) -> np.ndarray:
+        return self.deviations**2
+
+    @cached_property
+    def moments(self) -> ValueMoments:
+        n = int(self.array.shape[0])
+        if n == 0:
+            return ValueMoments()
+        return ValueMoments(n=n, mean=self.center, m2=float(self.squared_deviations.sum()))
+
+    @cached_property
+    def sum_wx(self) -> float:
+        return float((self.array * self.weights.array).sum())
+
+    def centered(self, coeff: np.ndarray, total: float) -> _CenteredMoment:
+        """The :class:`_CenteredMoment` of ``coeff`` (whose sum is ``total``)."""
+        if self.array.shape[0] == 0:
+            return _CenteredMoment()
+        return _CenteredMoment(
+            total=total,
+            linear=float((coeff * self.deviations).sum()),
+            square=float((coeff * self.squared_deviations).sum()),
+            center=self.center,
+        )
+
+
 # -- aggregate states --------------------------------------------------------------
 
 
@@ -309,6 +381,12 @@ class AggregateState:
     """Base interface of one aggregate's mergeable partial state."""
 
     def update(self, values: np.ndarray | None, weights: np.ndarray) -> None:
+        """Fold one vector of matching (values, weights) into the state."""
+        rows = WeightFold(weights)
+        self.fold(rows, None if values is None else ColumnFold(values, rows))
+
+    def fold(self, weights: WeightFold, column: ColumnFold | None) -> None:
+        """Fold one group's rows; ``column`` is ``None`` for ``COUNT(*)``."""
         raise NotImplementedError
 
     def update_runs(
@@ -356,8 +434,8 @@ class CountState(AggregateState):
     def __init__(self) -> None:
         self.weights = WeightMoments()
 
-    def update(self, values: np.ndarray | None, weights: np.ndarray) -> None:
-        self.weights.merge(WeightMoments.from_array(weights))
+    def fold(self, weights: WeightFold, column: ColumnFold | None) -> None:
+        self.weights.merge(weights.moments)
 
     def update_runs(
         self,
@@ -423,16 +501,18 @@ class SumState(AggregateState):
         self.sum_x2_w2 = 0.0
         self.sum_x2_w = 0.0
 
-    def update(self, values: np.ndarray | None, weights: np.ndarray) -> None:
-        assert values is not None
-        self.weights.merge(WeightMoments.from_array(weights))
-        self.values.merge(ValueMoments.from_array(values))
-        self.sum_wx += float(np.sum(values * weights))
-        x2w = values * values * weights
-        self.sum_x2_w_w1 += float(np.sum(x2w * (weights - 1.0)))
-        self.sum_x2_w_w1_pos += float(np.sum(x2w * np.maximum(weights - 1.0, 0.0)))
-        self.sum_x2_w2 += float(np.sum(x2w * weights))
-        self.sum_x2_w += float(np.sum(x2w))
+    def fold(self, weights: WeightFold, column: ColumnFold | None) -> None:
+        assert column is not None
+        self.weights.merge(weights.moments)
+        self.values.merge(column.moments)
+        self.sum_wx += column.sum_wx
+        w = weights.array
+        x2w = column.array * column.array * w
+        excess = w - 1.0
+        self.sum_x2_w_w1 += float((x2w * excess).sum())
+        self.sum_x2_w_w1_pos += float((x2w * np.maximum(excess, 0.0)).sum())
+        self.sum_x2_w2 += float((x2w * w).sum())
+        self.sum_x2_w += float(x2w.sum())
 
     def update_runs(
         self,
@@ -443,12 +523,12 @@ class SumState(AggregateState):
         assert values is not None
         self.weights.merge(WeightMoments.from_runs(weights, lengths))
         self.values.merge(ValueMoments.from_runs(values, lengths))
-        self.sum_wx += float(np.sum(lengths * values * weights))
+        self.sum_wx += float((lengths * values * weights).sum())
         x2w = lengths * values * values * weights
-        self.sum_x2_w_w1 += float(np.sum(x2w * (weights - 1.0)))
-        self.sum_x2_w_w1_pos += float(np.sum(x2w * np.maximum(weights - 1.0, 0.0)))
-        self.sum_x2_w2 += float(np.sum(x2w * weights))
-        self.sum_x2_w += float(np.sum(x2w))
+        self.sum_x2_w_w1 += float((x2w * (weights - 1.0)).sum())
+        self.sum_x2_w_w1_pos += float((x2w * np.maximum(weights - 1.0, 0.0)).sum())
+        self.sum_x2_w2 += float((x2w * weights).sum())
+        self.sum_x2_w += float(x2w.sum())
 
     def merge(self, other: "AggregateState") -> None:
         assert isinstance(other, SumState)
@@ -542,12 +622,12 @@ class AvgState(AggregateState):
         #: Σ w²(x - c)… for the linearised non-uniform variance.
         self.w2_moment = _CenteredMoment()
 
-    def update(self, values: np.ndarray | None, weights: np.ndarray) -> None:
-        assert values is not None
-        self.weights.merge(WeightMoments.from_array(weights))
-        self.values.merge(ValueMoments.from_array(values))
-        self.sum_wx += float(np.sum(values * weights))
-        self.w2_moment.merge(_CenteredMoment.from_arrays(weights * weights, values))
+    def fold(self, weights: WeightFold, column: ColumnFold | None) -> None:
+        assert column is not None
+        self.weights.merge(weights.moments)
+        self.values.merge(column.moments)
+        self.sum_wx += column.sum_wx
+        self.w2_moment.merge(column.centered(weights.squared, weights.moments.sum_w2))
 
     def update_runs(
         self,
@@ -558,7 +638,7 @@ class AvgState(AggregateState):
         assert values is not None
         self.weights.merge(WeightMoments.from_runs(weights, lengths))
         self.values.merge(ValueMoments.from_runs(values, lengths))
-        self.sum_wx += float(np.sum(lengths * values * weights))
+        self.sum_wx += float((lengths * values * weights).sum())
         self.w2_moment.merge(
             _CenteredMoment.from_runs(weights * weights, values, lengths)
         )
@@ -626,11 +706,11 @@ class VarianceState(AggregateState):
         #: Σ w(x - c)… for the weighted second moment about the mean.
         self.w_moment = _CenteredMoment()
 
-    def update(self, values: np.ndarray | None, weights: np.ndarray) -> None:
-        assert values is not None
-        self.weights.merge(WeightMoments.from_array(weights))
-        self.sum_wx += float(np.sum(values * weights))
-        self.w_moment.merge(_CenteredMoment.from_arrays(weights, values))
+    def fold(self, weights: WeightFold, column: ColumnFold | None) -> None:
+        assert column is not None
+        self.weights.merge(weights.moments)
+        self.sum_wx += column.sum_wx
+        self.w_moment.merge(column.centered(weights.array, weights.moments.sum_w))
 
     def update_runs(
         self,
@@ -640,7 +720,7 @@ class VarianceState(AggregateState):
     ) -> None:
         assert values is not None
         self.weights.merge(WeightMoments.from_runs(weights, lengths))
-        self.sum_wx += float(np.sum(lengths * values * weights))
+        self.sum_wx += float((lengths * values * weights).sum())
         self.w_moment.merge(_CenteredMoment.from_runs(weights, values, lengths))
 
     def merge(self, other: "AggregateState") -> None:
@@ -695,8 +775,8 @@ class StddevState(AggregateState):
     def __init__(self) -> None:
         self.inner = VarianceState()
 
-    def update(self, values: np.ndarray | None, weights: np.ndarray) -> None:
-        self.inner.update(values, weights)
+    def fold(self, weights: WeightFold, column: ColumnFold | None) -> None:
+        self.inner.fold(weights, column)
 
     def update_runs(
         self,
@@ -767,12 +847,13 @@ class QuantileState(AggregateState):
         self._rows = 0
         self.compressed = False
 
-    def update(self, values: np.ndarray | None, weights: np.ndarray) -> None:
-        assert values is not None
+    def fold(self, weights: WeightFold, column: ColumnFold | None) -> None:
+        assert column is not None
+        values = column.array
         if values.shape[0] == 0:
             return
         self._values.append(np.asarray(values, dtype=np.float64))
-        self._weights.append(np.asarray(weights, dtype=np.float64))
+        self._weights.append(np.asarray(weights.array, dtype=np.float64))
         self._points += int(values.shape[0])
         self._rows += int(values.shape[0])
         if self._points > self.sketch_size:
@@ -943,12 +1024,13 @@ class GroupPartial:
     min_weight: float = math.inf
     max_weight: float = 0.0
 
-    def observe_weights(self, weights: np.ndarray) -> None:
-        if weights.shape[0] == 0:
+    def observe_weights(self, weights: WeightMoments) -> None:
+        """Count a batch's rows and widen the weight range by its moments."""
+        if weights.n == 0:
             return
-        self.rows += int(weights.shape[0])
-        self.min_weight = min(self.min_weight, float(np.min(weights)))
-        self.max_weight = max(self.max_weight, float(np.max(weights)))
+        self.rows += weights.n
+        self.min_weight = min(self.min_weight, weights.min_w)
+        self.max_weight = max(self.max_weight, weights.max_w)
 
     def merge(self, other: "GroupPartial") -> None:
         for mine, theirs in zip(self.states, other.states):

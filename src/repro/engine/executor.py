@@ -15,7 +15,10 @@ the cluster cost model prices):
 1. **partial aggregation** (:meth:`QueryExecutor.partial_aggregate`) — for
    one partition of the input: join dimension tables, apply the WHERE mask,
    assign group codes, and fold the matching rows of every group into
-   mergeable aggregation states (:mod:`repro.engine.accumulators`);
+   mergeable aggregation states (:mod:`repro.engine.accumulators`).  Each
+   group's weight moments are reduced once and shared by all its states
+   (:class:`~repro.engine.accumulators.WeightFold`) — bit-identical to one
+   ``update`` per state;
 2. **state merge** — :meth:`~repro.engine.accumulators.PartialAggregation.merge`
    combines partials associatively, in any order;
 3. **estimate** (:meth:`QueryExecutor.finalize`) — turn the merged states
@@ -41,8 +44,10 @@ import numpy as np
 from repro.common.errors import ExecutionError, PlanningError
 from repro.engine.accumulators import (
     AggregateState,
+    ColumnFold,
     GroupPartial,
     PartialAggregation,
+    WeightFold,
     make_state,
 )
 from repro.engine.expressions import evaluate_predicate
@@ -411,22 +416,24 @@ class QueryExecutor:
         )
 
         # 4. Per-group folds via a single argsort-of-codes partitioning pass
-        #    (one O(n log n) sort instead of one O(n) mask per group).
+        #    (one O(n log n) sort instead of one O(n) mask per group).  Each
+        #    group's weights are reduced once, whatever the number of
+        #    aggregates.
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
         boundaries = np.searchsorted(sorted_codes, np.arange(len(keys) + 1))
         for group_id, key in enumerate(keys):
             rows = order[boundaries[group_id]:boundaries[group_id + 1]]
-            group_weights = matched_weights[rows]
+            weights_fold = WeightFold(matched_weights[rows])
             group = GroupPartial(key=key, states=self._make_states(plan))
-            group.observe_weights(group_weights)
+            group.observe_weights(weights_fold.moments)
             for call, state in zip(plan.aggregates, group.states):
                 if call.function is AggregateFunction.COUNT and call.column is None:
-                    values = None
-                else:
-                    assert call.column is not None
-                    values = columns[call.column.name][rows]
-                state.update(values, group_weights)
+                    state.fold(weights_fold, None)
+                    continue
+                assert call.column is not None
+                values = columns[call.column.name][rows]
+                state.fold(weights_fold, ColumnFold(values, weights_fold))
             partial.groups[key] = group
         return partial
 
@@ -511,16 +518,16 @@ class QueryExecutor:
                 sink.record_scan(counters)
                 sink.record_filter(row_end - row_start, selection.size)
 
-        matched_weights = (
+        weights_fold = WeightFold(
             weights[selection]
             if weights is not None
             else np.ones(selection.shape[0], dtype=np.float64)
         )
         group = GroupPartial(key=(), states=self._make_states(plan))
-        group.observe_weights(matched_weights)
+        group.observe_weights(weights_fold.moments)
         for call, state in zip(plan.aggregates, group.states):
             if call.function is AggregateFunction.COUNT and call.column is None:
-                state.update(None, matched_weights)
+                state.fold(weights_fold, None)
                 continue
             assert call.column is not None
             self._fold_encoded_column(

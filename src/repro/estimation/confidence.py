@@ -8,14 +8,23 @@ standard deviations (§4.2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from scipy import stats
 
 
+@functools.lru_cache(maxsize=256)
 def z_score(confidence: float) -> float:
-    """Two-sided normal critical value for a confidence level in (0, 1)."""
+    """Two-sided normal critical value for a confidence level in (0, 1).
+
+    Memoised per level: every group and aggregate of an answer asks for the
+    same few levels, and ``norm.ppf`` costs far more than the interval
+    arithmetic around it.  The cached value is the very float ``ppf``
+    returns; a failure is never cached, so an invalid level raises on every
+    call.
+    """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     return float(stats.norm.ppf(0.5 + confidence / 2.0))

@@ -56,6 +56,9 @@ class Table:
         # table is immutable, so a computed index never goes stale; a benign
         # double-build under concurrency just replaces equal metadata.
         self._zone_indexes: dict[int, ZoneMapIndex] = {}
+        # The compression summary, computed on first use; a tuple so that a
+        # computed ``None`` (nothing encoded) is told apart from "not yet".
+        self._encoding_stats: tuple[dict[str, object] | None] | None = None
 
     # -- construction -----------------------------------------------------------
     @classmethod
@@ -169,11 +172,15 @@ class Table:
         """Compression summary over this table's encoded columns.
 
         ``None`` when no column is block-encoded (see
-        :func:`repro.storage.encodings.table_encoding_stats`).
+        :func:`repro.storage.encodings.table_encoding_stats`).  Computed once
+        and cached (the table is immutable); callers share the returned
+        mapping and must not mutate it.
         """
-        from repro.storage.encodings import table_encoding_stats
+        if self._encoding_stats is None:
+            from repro.storage.encodings import table_encoding_stats
 
-        return table_encoding_stats(self)
+            self._encoding_stats = (table_encoding_stats(self),)
+        return self._encoding_stats[0]
 
     # -- partitioning ---------------------------------------------------------------
     def block_set(self, block_bytes: int | None = None,

@@ -227,10 +227,10 @@ class TestPartialAggregation:
     def test_group_partial_unit_weight(self):
         group = GroupPartial(key=(), states=[])
         assert not group.unit_weight()  # no rows observed
-        group.observe_weights(np.ones(4))
+        group.observe_weights(WeightMoments.from_array(np.ones(4)))
         assert group.unit_weight()
         assert not group.unit_weight(scale=2.0)
-        group.observe_weights(np.array([3.0]))
+        group.observe_weights(WeightMoments.from_array(np.array([3.0])))
         assert not group.unit_weight()
 
 

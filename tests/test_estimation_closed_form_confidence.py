@@ -81,6 +81,51 @@ class TestConfidence:
         with pytest.raises(ValueError):
             z_score(1.0)
 
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99, 0.999, np.float64(0.95)])
+    def test_z_score_is_exactly_the_normal_quantile(self, confidence, empty_z_memo):
+        from scipy import stats
+
+        expected = float(stats.norm.ppf(0.5 + confidence / 2.0))
+        # The first call computes, the repeat is served by the memo: both
+        # must be the very float ``ppf`` returns.
+        assert z_score(confidence) == expected
+        assert z_score(confidence) == expected
+        assert type(z_score(confidence)) is float
+
+    @pytest.fixture
+    def empty_z_memo(self):
+        """An empty ``z_score`` memo, whatever ran before; emptied again after."""
+        z_score.cache_clear()
+        yield
+        z_score.cache_clear()
+
+    def test_z_score_computes_each_level_once(self, monkeypatch, empty_z_memo):
+        import types
+
+        from scipy import stats
+
+        from repro.estimation import confidence as confidence_module
+
+        calls = []
+
+        def ppf(q):
+            calls.append(q)
+            return stats.norm.ppf(q)
+
+        monkeypatch.setattr(
+            confidence_module, "stats", types.SimpleNamespace(norm=types.SimpleNamespace(ppf=ppf))
+        )
+        level = 0.95
+        first = z_score(level)
+        assert z_score(level) == first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.1, math.nan])
+    def test_z_score_invalid_raises_on_every_call(self, confidence, empty_z_memo):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                z_score(confidence)
+
     def test_confidence_interval_width(self):
         ci = confidence_interval(100.0, 25.0, 0.95)
         assert ci.half_width == pytest.approx(1.96 * 5, abs=0.05)

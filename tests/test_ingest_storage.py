@@ -3,8 +3,9 @@
 Covers :meth:`Column.append_values` (stable dictionary-code remapping),
 :meth:`Table.append_batch` (immutability of the old generation, incremental
 zone-map extension), the incremental statistics merge, the catalog's
-generation counter, and the zone-map carry-forward of column-preserving
-table copies (``with_column`` / ``project``).
+generation counter, the zone-map carry-forward of column-preserving
+table copies (``with_column`` / ``project``), and the per-table cache of the
+compression summary.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import repro.storage.table as table_module
 from repro.common.errors import SchemaError
 from repro.ingest.batch import columns_from_rows
 from repro.storage.catalog import Catalog
+import repro.storage.encodings as encodings_module
 from repro.storage.column import Column
+from repro.storage.encodings import encode_table
 from repro.storage.statistics import (
     compute_statistics,
     extend_statistics,
@@ -176,6 +179,51 @@ class TestZoneCarryForward:
         table.zone_map_index(16)
         assert not table.take(np.arange(99, -1, -1)).has_zone_map_index(16)
         assert not table.sort_by(["key"]).has_zone_map_index(16)
+
+
+class TestEncodingStatsCache:
+    """``Table.encoding_stats`` is computed once per (immutable) table."""
+
+    def _counting(self, monkeypatch) -> list[str]:
+        calls: list[str] = []
+        original = encodings_module.table_encoding_stats
+
+        def counted(table):
+            calls.append(table.name)
+            return original(table)
+
+        monkeypatch.setattr(encodings_module, "table_encoding_stats", counted)
+        return calls
+
+    def test_second_call_is_served_from_the_cache(self, monkeypatch):
+        table = encode_table(make_table(100), 16)
+        calls = self._counting(monkeypatch)
+        first = table.encoding_stats()
+        assert first is not None and first["raw_bytes"] > 0
+        assert table.encoding_stats() is first
+        assert calls == ["t"]
+
+    def test_unencoded_none_is_cached_too(self, monkeypatch):
+        table = make_table(100)
+        calls = self._counting(monkeypatch)
+        assert table.encoding_stats() is None
+        assert table.encoding_stats() is None
+        assert calls == ["t"]
+
+    def test_derived_tables_compute_their_own_stats(self, monkeypatch):
+        table = encode_table(make_table(100), 16)
+        calls = self._counting(monkeypatch)
+        before = table.encoding_stats()
+        appended = table.append_batch(BATCH, name="appended")
+        projected = table.project(["key", "hits"], name="projected")
+        after_append = appended.encoding_stats()
+        after_project = projected.encoding_stats()
+        assert calls == ["t", "appended", "projected"]
+        assert after_append is not None and after_project is not None
+        assert after_append["raw_bytes"] > before["raw_bytes"]
+        assert after_project["raw_bytes"] < before["raw_bytes"]
+        assert after_append == encodings_module.table_encoding_stats(appended)
+        assert after_project == encodings_module.table_encoding_stats(projected)
 
 
 class TestStatisticsMerge:
