@@ -1,8 +1,9 @@
 """Small helpers for printing paper-style result tables from the benchmarks.
 
-Every benchmark regenerates the rows/series of one table or figure of the
-paper and prints them with these helpers so the output can be compared
-side-by-side with the original (see EXPERIMENTS.md).
+Every paper-figure benchmark regenerates the rows/series of one table or
+figure of the paper and prints them with these helpers, so that the output
+of ``pytest -s benchmarks/test_<figure>.py`` can be compared side by side
+with the original in the paper.
 """
 
 from __future__ import annotations

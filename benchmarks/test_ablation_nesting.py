@@ -9,8 +9,6 @@ resolution independently.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks._report import print_header, print_table
 from benchmarks.conftest import conviva_sampling_config
 from repro.common.units import MB
@@ -43,9 +41,8 @@ def run_nesting_ablation(table):
     return rows
 
 
-@pytest.mark.benchmark(group="ablation-nesting")
-def test_ablation_nested_storage(benchmark, conviva_table):
-    rows = benchmark.pedantic(run_nesting_ablation, args=(conviva_table,), rounds=1, iterations=1)
+def test_ablation_nested_storage(conviva_table):
+    rows = run_nesting_ablation(conviva_table)
 
     print_header("Ablation — nested multi-resolution storage vs independently drawn samples")
     print_table(rows)

@@ -3,12 +3,11 @@
 The paper solves the sample-selection MILP exactly (GLPK).  A natural
 simplification is a greedy marginal-gain-per-byte heuristic; this ablation
 measures how much objective value the heuristic gives up on the synthetic
-Conviva and TPC-H workloads, and how much faster it is.
+Conviva and TPC-H workloads.  Solve times are printed, not asserted;
+perfbench's ``optimizer.milp_s`` is the wall-clock measurement.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from benchmarks._report import print_header, print_table
 from benchmarks.conftest import conviva_sampling_config, tpch_sampling_config
@@ -48,16 +47,14 @@ def run_solver_ablation(conviva_table, tpch_table):
                 "greedy_seconds": round(greedy.solve_seconds, 3),
                 "exact_seconds": round(exact.solve_seconds, 3),
                 "exact_nodes": exact.nodes_explored,
+                "exact_optimal": exact.optimal,
             }
         )
     return rows
 
 
-@pytest.mark.benchmark(group="ablation-solver")
-def test_ablation_exact_vs_greedy_solver(benchmark, conviva_table, tpch_table):
-    rows = benchmark.pedantic(
-        run_solver_ablation, args=(conviva_table, tpch_table), rounds=1, iterations=1
-    )
+def test_ablation_exact_vs_greedy_solver(conviva_table, tpch_table):
+    rows = run_solver_ablation(conviva_table, tpch_table)
 
     print_header("Ablation — greedy vs exact branch-and-bound sample selection")
     print_table(rows)
@@ -65,4 +62,5 @@ def test_ablation_exact_vs_greedy_solver(benchmark, conviva_table, tpch_table):
     for row in rows:
         assert row["exact_objective"] >= row["greedy_objective"] - 1e-9
         assert 0.0 <= row["greedy_gap_%"] <= 50.0
-        assert row["exact_seconds"] < 30.0
+        # Branch and bound finished its search: the objective is the optimum.
+        assert row["exact_optimal"], row

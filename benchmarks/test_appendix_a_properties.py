@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
-
 from benchmarks._report import print_header, print_table
 from repro.common.config import SamplingConfig
 from repro.sampling.family import StratifiedSampleFamily
@@ -63,9 +61,8 @@ def run_property_sweep():
     return rows
 
 
-@pytest.mark.benchmark(group="appendix-a")
-def test_appendix_a_suboptimality_bounds(benchmark):
-    rows = benchmark.pedantic(run_property_sweep, rounds=1, iterations=1)
+def test_appendix_a_suboptimality_bounds():
+    rows = run_property_sweep()
 
     print_header("Appendix A — discrete-resolution sub-optimality factors vs proven bounds")
     print_table(rows)

@@ -8,8 +8,6 @@ Conviva workload and prints the same breakdown.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks._report import print_header, print_table
 from benchmarks.conftest import conviva_sampling_config
 from repro.optimizer.planner import SampleSelectionPlanner
@@ -25,11 +23,8 @@ def run_budget_sweep(table, templates):
     return plans
 
 
-@pytest.mark.benchmark(group="fig6a")
-def test_fig6a_sample_families_conviva(benchmark, conviva_table, conviva_templates):
-    plans = benchmark.pedantic(
-        run_budget_sweep, args=(conviva_table, conviva_templates), rounds=1, iterations=1
-    )
+def test_fig6a_sample_families_conviva(conviva_table, conviva_templates):
+    plans = run_budget_sweep(conviva_table, conviva_templates)
 
     print_header("Fig. 6(a) — sample families selected (Conviva), by storage budget")
     rows = []

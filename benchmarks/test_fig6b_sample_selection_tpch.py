@@ -6,8 +6,6 @@ six query templates the paper maps the 22 TPC-H queries onto.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks._report import print_header, print_table
 from benchmarks.conftest import tpch_sampling_config
 from repro.optimizer.planner import SampleSelectionPlanner
@@ -22,11 +20,8 @@ def run_budget_sweep(table, templates):
     }
 
 
-@pytest.mark.benchmark(group="fig6b")
-def test_fig6b_sample_families_tpch(benchmark, tpch_table, tpch_templates):
-    plans = benchmark.pedantic(
-        run_budget_sweep, args=(tpch_table, tpch_templates), rounds=1, iterations=1
-    )
+def test_fig6b_sample_families_tpch(tpch_table, tpch_templates):
+    plans = run_budget_sweep(tpch_table, tpch_templates)
 
     print_header("Fig. 6(b) — sample families selected (TPC-H), by storage budget")
     rows = []

@@ -10,8 +10,6 @@ comparison with the cluster cost model.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks._report import print_header, print_table
 from benchmarks.conftest import build_conviva_db
 from repro.baselines.full_scan import BaselineEngine, FullScanBaseline
@@ -44,9 +42,8 @@ def run_comparison(table):
     return results
 
 
-@pytest.mark.benchmark(group="fig6c")
-def test_fig6c_blinkdb_vs_full_scan(benchmark, conviva_table):
-    results = benchmark.pedantic(run_comparison, args=(conviva_table,), rounds=1, iterations=1)
+def test_fig6c_blinkdb_vs_full_scan(conviva_table):
+    results = run_comparison(conviva_table)
 
     print_header("Fig. 6(c) — query response time: full-data engines vs BlinkDB (seconds)")
     rows = []

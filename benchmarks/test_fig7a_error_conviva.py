@@ -13,8 +13,6 @@ charged 100% — see ``benchmarks/_fig7_common.py``.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks._fig7_common import compare_strategies
 from benchmarks._report import print_header, print_table
 from benchmarks.conftest import conviva_sampling_config
@@ -31,11 +29,8 @@ def run_error_comparison(table, templates):
     return compare_strategies(strategies, templates, table, "session_time", ROW_BUDGET)
 
 
-@pytest.mark.benchmark(group="fig7a")
-def test_fig7a_error_per_template_conviva(benchmark, conviva_table, conviva_templates):
-    rows = benchmark.pedantic(
-        run_error_comparison, args=(conviva_table, conviva_templates), rounds=1, iterations=1
-    )
+def test_fig7a_error_per_template_conviva(conviva_table, conviva_templates):
+    rows = run_error_comparison(conviva_table, conviva_templates)
 
     print_header(
         "Fig. 7(a) — mean per-group error (%) per query template, fixed scan budget (Conviva)"

@@ -6,8 +6,6 @@ its six query templates; errors are measured on AVG(extendedprice).
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks._fig7_common import compare_strategies
 from benchmarks._report import print_header, print_table
 from benchmarks.conftest import tpch_sampling_config
@@ -23,11 +21,8 @@ def run_error_comparison(table, templates):
     return compare_strategies(strategies, templates, table, "extendedprice", ROW_BUDGET)
 
 
-@pytest.mark.benchmark(group="fig7b")
-def test_fig7b_error_per_template_tpch(benchmark, tpch_table, tpch_templates):
-    rows = benchmark.pedantic(
-        run_error_comparison, args=(tpch_table, tpch_templates), rounds=1, iterations=1
-    )
+def test_fig7b_error_per_template_tpch(tpch_table, tpch_templates):
+    rows = run_error_comparison(tpch_table, tpch_templates)
 
     print_header(
         "Fig. 7(b) — mean per-group error (%) per query template, fixed scan budget (TPC-H)"

@@ -15,8 +15,6 @@ or a random-order raw-data scan (OLA) at the 17 TB simulated scale.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks._report import print_header, print_table
 from benchmarks.conftest import CONVIVA_SIMULATED_BYTES, conviva_sampling_config
 from repro.baselines.online_agg import OnlineAggregationBaseline
@@ -72,11 +70,8 @@ def run_convergence(table, templates):
     return rows
 
 
-@pytest.mark.benchmark(group="fig7c")
-def test_fig7c_error_convergence(benchmark, conviva_table, conviva_templates):
-    rows = benchmark.pedantic(
-        run_convergence, args=(conviva_table, conviva_templates), rounds=1, iterations=1
-    )
+def test_fig7c_error_convergence(conviva_table, conviva_templates):
+    rows = run_convergence(conviva_table, conviva_templates)
 
     print_header("Fig. 7(c) — time (s) to reach a target error, per sampling strategy")
     print_table(

@@ -8,8 +8,6 @@ scan finishes within the bound.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks._report import print_header, print_table
 from repro.workloads.conviva import conviva_query_templates
 from repro.workloads.tracegen import generate_trace
@@ -68,11 +66,8 @@ def run_time_bound_sweep(db, table):
     return rows
 
 
-@pytest.mark.benchmark(group="fig8a")
-def test_fig8a_response_time_bounds(benchmark, conviva_db, conviva_table):
-    rows = benchmark.pedantic(
-        run_time_bound_sweep, args=(conviva_db, conviva_table), rounds=1, iterations=1
-    )
+def test_fig8a_response_time_bounds(conviva_db, conviva_table):
+    rows = run_time_bound_sweep(conviva_db, conviva_table)
 
     print_header("Fig. 8(a) — actual vs requested response time (20 Conviva queries)")
     print_table(rows)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from benchmarks._report import print_header, print_table
 from repro.workloads.tracegen import generate_trace
 
@@ -71,11 +69,8 @@ def run_error_bound_sweep(db, table):
     return rows
 
 
-@pytest.mark.benchmark(group="fig8b")
-def test_fig8b_relative_error_bounds(benchmark, conviva_db, conviva_table):
-    rows = benchmark.pedantic(
-        run_error_bound_sweep, args=(conviva_db, conviva_table), rounds=1, iterations=1
-    )
+def test_fig8b_relative_error_bounds(conviva_db, conviva_table):
+    rows = run_error_bound_sweep(conviva_db, conviva_table)
 
     print_header("Fig. 8(b) — actual vs requested relative error (Conviva queries)")
     print_table(rows)

@@ -11,8 +11,6 @@ largest contributor.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks._report import print_header, print_table
 from repro.cluster.cost_model import CostModel
 from repro.common.config import ClusterConfig
@@ -51,9 +49,8 @@ def run_scaleup():
     return rows
 
 
-@pytest.mark.benchmark(group="fig8c")
-def test_fig8c_scaleup(benchmark):
-    rows = benchmark.pedantic(run_scaleup, rounds=1, iterations=1)
+def test_fig8c_scaleup():
+    rows = run_scaleup()
 
     print_header("Fig. 8(c) — query latency (s) vs cluster size (100 GB of data per node)")
     print_table(rows)

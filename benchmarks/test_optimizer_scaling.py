@@ -4,13 +4,13 @@ The paper reports that its GLPK-based MILP solves instances with ~10⁶
 variables in about 6 seconds, and that candidate column sets are restricted to
 subsets of query templates (capped at 3–4 columns) to keep the search space
 manageable.  This benchmark grows the template set of the synthetic Conviva
-workload and measures how the candidate count and the branch-and-bound solve
-time grow; solve time should stay in the interactive range.
+workload and reports how the candidate count and the branch-and-bound solve
+time grow.  Solve times are printed, not asserted (perfbench's
+``optimizer.milp_s`` is the wall-clock measurement); small instances must be
+solved to optimality.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from benchmarks._report import print_header, print_table
 from benchmarks.conftest import conviva_sampling_config
@@ -40,17 +40,13 @@ def run_scaling(table):
     return rows
 
 
-@pytest.mark.benchmark(group="optimizer-scaling")
-def test_optimizer_scaling(benchmark, conviva_table):
-    rows = benchmark.pedantic(run_scaling, args=(conviva_table,), rounds=1, iterations=1)
+def test_optimizer_scaling(conviva_table):
+    rows = run_scaling(conviva_table)
 
     print_header("§3.2.2 — optimizer candidates and solve time vs workload size")
     print_table(rows)
 
     candidates = [row["candidates"] for row in rows]
     assert candidates == sorted(candidates)
-    # Solve times stay interactive (the paper quotes ~6 s for much larger
-    # instances on GLPK; our instances are smaller).
-    assert all(row["solve_seconds"] < 10.0 for row in rows)
     # Small instances are solved to optimality by branch and bound.
     assert all(row["optimal"] for row in rows if row["candidates"] <= 40)

@@ -10,8 +10,6 @@ the ratio should be close to 1.
 from __future__ import annotations
 
 import numpy as np
-import pytest
-
 from benchmarks._report import print_header, print_table
 from repro.estimation import closed_form
 
@@ -81,9 +79,8 @@ def _density_at_quantile(values: np.ndarray, p: float) -> float:
     return 2 * delta / (high - low)
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_closed_forms_match_empirical_variance(benchmark):
-    rows = benchmark.pedantic(run_validation, rounds=1, iterations=1)
+def test_table2_closed_forms_match_empirical_variance():
+    rows = run_validation()
 
     print_header("Table 2 — closed-form estimator variances vs empirical (400 resamples)")
     print_table(rows)

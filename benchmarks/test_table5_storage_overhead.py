@@ -10,7 +10,6 @@ small synthetic Zipf table.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from benchmarks._report import print_header, print_table
@@ -43,9 +42,8 @@ def run_table5():
     return rows
 
 
-@pytest.mark.benchmark(group="table5")
-def test_table5_storage_overhead(benchmark):
-    rows = benchmark.pedantic(run_table5, rounds=1, iterations=1)
+def test_table5_storage_overhead():
+    rows = run_table5()
 
     print_header("Table 5 — S(φ, K) storage as a fraction of the original Zipf(s) table")
     print_table(rows)

@@ -10,8 +10,6 @@ setting allows and the objective value it reaches.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks._report import print_header, print_table
 from benchmarks.conftest import conviva_sampling_config
 from repro.cluster.simulator import ClusterSimulator
@@ -69,9 +67,8 @@ def run_variation(table):
     return rows
 
 
-@pytest.mark.benchmark(group="workload-variation")
-def test_workload_variation_churn_constraint(benchmark, conviva_table):
-    rows = benchmark.pedantic(run_variation, args=(conviva_table,), rounds=1, iterations=1)
+def test_workload_variation_churn_constraint(conviva_table):
+    rows = run_variation(conviva_table)
 
     print_header("§3.2.3 — re-planning under the churn constraint (r)")
     print_table(rows)

@@ -67,14 +67,21 @@ def main() -> None:
         )
 
     # 4. A mixed closed-loop load: 6 clients, error-bounded, time-bounded,
-    #    and unbounded queries drawn from the Conviva templates.
+    #    and unbounded queries drawn from the Conviva templates.  Each client
+    #    is an in-process session; a repro.client.Client's ``query`` would
+    #    drive the same loop over the wire.
     queries = mixed_bound_trace(
         conviva_query_templates(), sessions, num_queries=48, seed=11
     )
-    report = run_closed_loop(service, queries, num_clients=6)
+    report = run_closed_loop(
+        lambda i: service.connect(name=f"analyst-{i}").execute, queries, num_clients=6
+    )
     print("\nClosed-loop load (6 clients, 48 queries):")
     for key, value in report.describe().items():
         print(f"  {key:>18}: {value}")
+    for row in report.rows:
+        if row.error is not None:
+            print(f"  {row.outcome} (client {row.client}): {row.error}")
 
     # 5. Service metrics: admission, cache, and latency histograms.
     snapshot = service.describe()

@@ -17,8 +17,10 @@ library:
 * :mod:`repro.net.client` — :class:`~repro.net.client.Client`, a retrying
   wire client that maps structured errors back to the library's exception
   types (also exported as ``repro.client.Client``).
-* :mod:`repro.net.loadharness` — the closed-loop multi-process load
-  generator behind ``benchmarks/test_network_throughput.py``.
+
+Load over the wire uses the one closed-loop driver,
+:func:`repro.service.loadgen.run_closed_loop`, with a ``Client`` per client
+thread as its transport.
 """
 
 from repro.net.client import Client, NetTicket

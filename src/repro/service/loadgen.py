@@ -1,93 +1,99 @@
-"""Open- and closed-loop workload drivers for the query service.
+"""The closed-loop load driver, for either transport.
 
-Two standard load-generation disciplines over the Conviva/TPC-H template
-generators (:mod:`repro.workloads.tracegen`):
+:func:`run_closed_loop` plays N analysts, each issuing its next statement
+only after the previous answer arrives, so the offered load adapts to what
+the service can sustain.  The transport belongs to the caller:
+``connect(i)`` returns client ``i``'s blocking query callable, called as
+``ask(sql, timeout=timeout)``:
 
-* **closed loop** — N simulated analysts, each issuing its next query only
-  after the previous answer arrives.  Throughput is limited by service
-  capacity; this is the discipline for "queries/sec vs. worker count"
-  benchmarks.
-* **open loop** — queries arrive on their own (Poisson) clock regardless of
-  completions, as web traffic does.  Arrival rates above capacity build a
-  backlog and exercise the scheduler's deadline shedding.
+* in process — ``lambda i: service.connect(name=f"analyst-{i}").execute``;
+* over the wire — ``lambda i: stack.enter_context(Client(host, port)).query``
+  (one :class:`repro.client.Client` per client thread; the caller closes it).
 
-Both return a :class:`LoadReport` aggregated from the tickets' per-query
-metrics.
+Every statement becomes one :class:`LoadRow`, failures included: latency is
+measured at the client, a :class:`~repro.common.errors.QueryRejectedError`
+counts as ``shed`` and any other exception as ``failed``.  The driver joins
+every client thread before it reads a row; each call is bounded by
+``timeout``, so the join is too.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.common.clock import monotonic
+from repro.common.errors import QueryRejectedError
 from repro.common.rng import make_rng
+from repro.engine.result import QueryResult
 from repro.obs import percentile_of
-from repro.service.server import QueryService, QueryTicket
-from repro.service.session import SessionDefaults
 from repro.sql.templates import QueryTemplate
 from repro.storage.table import Table
 from repro.workloads.tracegen import generate_trace
 
 
-@dataclass
-class LoadReport:
-    """Aggregate outcome of one load-generation run."""
+@dataclass(frozen=True)
+class LoadRow:
+    """One statement as its client saw it."""
 
-    discipline: str
+    client: int
+    sql: str
+    outcome: str  # "completed" | "shed" | "failed"
+    latency_seconds: float
+    result: QueryResult | None = None
+    error: BaseException | None = None
+
+
+@dataclass(frozen=True)
+class LoadReport:
+    """Every row of one closed-loop run, plus the run's wall time."""
+
     wall_seconds: float
-    submitted: int = 0
-    completed: int = 0
-    shed: int = 0
-    failed: int = 0
-    cache_hits: int = 0
-    total_latencies: list[float] = field(default_factory=list)
-    queue_waits: list[float] = field(default_factory=list)
+    rows: tuple[LoadRow, ...]
+
+    def count(self, outcome: str) -> int:
+        return sum(1 for row in self.rows if row.outcome == outcome)
+
+    @property
+    def submitted(self) -> int:
+        return len(self.rows)
+
+    @property
+    def completed(self) -> int:
+        return self.count("completed")
+
+    @property
+    def shed(self) -> int:
+        return self.count("shed")
+
+    @property
+    def failed(self) -> int:
+        return self.count("failed")
 
     @property
     def throughput_qps(self) -> float:
-        """Completed queries per wall-clock second."""
+        """Completed statements per wall-clock second."""
         return self.completed / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def latency_percentile(self, fraction: float) -> float:
-        return percentile_of(self.total_latencies, fraction)
-
-    @property
-    def mean_queue_wait_seconds(self) -> float:
-        return sum(self.queue_waits) / len(self.queue_waits) if self.queue_waits else 0.0
+        """Client-measured latency quantile over the completed statements."""
+        return percentile_of(
+            (row.latency_seconds for row in self.rows if row.outcome == "completed"),
+            fraction,
+        )
 
     def describe(self) -> dict[str, object]:
         return {
-            "discipline": self.discipline,
             "wall_s": round(self.wall_seconds, 4),
             "submitted": self.submitted,
             "completed": self.completed,
             "shed": self.shed,
             "failed": self.failed,
-            "cache_hits": self.cache_hits,
             "throughput_qps": round(self.throughput_qps, 2),
             "p50_latency_s": round(self.latency_percentile(0.50), 4),
             "p95_latency_s": round(self.latency_percentile(0.95), 4),
-            "mean_queue_wait_s": round(self.mean_queue_wait_seconds, 4),
         }
-
-
-def _absorb_ticket(report: LoadReport, ticket: QueryTicket) -> None:
-    status = ticket.status
-    if status == "completed":
-        report.completed += 1
-    elif status == "shed":
-        report.shed += 1
-    else:
-        report.failed += 1
-    if ticket.metrics.cache_hit:
-        report.cache_hits += 1
-    if ticket.metrics.total_seconds is not None and status == "completed":
-        report.total_latencies.append(ticket.metrics.total_seconds)
-    if ticket.metrics.queue_wait_seconds is not None:
-        report.queue_waits.append(ticket.metrics.queue_wait_seconds)
 
 
 def mixed_bound_trace(
@@ -125,28 +131,37 @@ def mixed_bound_trace(
 
 
 def run_closed_loop(
-    service: QueryService,
+    connect: Callable[[int], Callable[..., QueryResult]],
     queries: Sequence[str],
     num_clients: int = 4,
-    defaults: SessionDefaults | None = None,
     timeout: float | None = 120.0,
 ) -> LoadReport:
-    """Drive the service with ``num_clients`` synchronous analysts.
+    """Drive ``num_clients`` synchronous analysts through ``connect``.
 
-    Queries are dealt round-robin to the clients; each client issues its
-    share sequentially, waiting for every answer.
+    Statements are dealt round-robin to the clients; each client issues its
+    share in order, waiting for every answer.  Rows come back client by
+    client, each client's in the order it issued them.
     """
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
-    shares: list[list[str]] = [list(queries[i::num_clients]) for i in range(num_clients)]
-    tickets: list[list[QueryTicket]] = [[] for _ in range(num_clients)]
+    shares = [list(queries[i::num_clients]) for i in range(num_clients)]
+    asks = [connect(i) for i in range(num_clients)]
+    rows: list[list[LoadRow]] = [[] for _ in range(num_clients)]
 
     def client(index: int) -> None:
-        session = service.connect(name=f"closed-loop-{index}", defaults=defaults)
         for sql in shares[index]:
-            ticket = session.submit(sql)
-            tickets[index].append(ticket)
-            ticket.wait(timeout)
+            started = monotonic()
+            try:
+                result = asks[index](sql, timeout=timeout)
+            except QueryRejectedError as error:
+                outcome, result, failure = "shed", None, error
+            except Exception as error:  # noqa: BLE001 - recorded as a row
+                outcome, result, failure = "failed", None, error
+            else:
+                outcome, failure = "completed", None
+            rows[index].append(
+                LoadRow(index, sql, outcome, monotonic() - started, result, failure)
+            )
 
     threads = [
         threading.Thread(target=client, args=(i,), name=f"loadgen-client-{i}", daemon=True)
@@ -156,45 +171,8 @@ def run_closed_loop(
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join(timeout)
-    wall = monotonic() - started
-
-    report = LoadReport(discipline="closed-loop", wall_seconds=wall)
-    for client_tickets in tickets:
-        for ticket in client_tickets:
-            report.submitted += 1
-            _absorb_ticket(report, ticket)
-    return report
-
-
-def run_open_loop(
-    service: QueryService,
-    queries: Sequence[str],
-    arrival_rate_qps: float,
-    seed: int = 0,
-    defaults: SessionDefaults | None = None,
-    timeout: float | None = 120.0,
-) -> LoadReport:
-    """Submit queries on a Poisson arrival clock, then wait for all tickets.
-
-    The arrival process never waits for completions, so rates above the
-    service capacity grow the queue and trigger deadline shedding.
-    """
-    if arrival_rate_qps <= 0:
-        raise ValueError("arrival_rate_qps must be positive")
-    rng = make_rng(seed)
-    session = service.connect(name="open-loop", defaults=defaults)
-    tickets: list[QueryTicket] = []
-    started = monotonic()
-    for sql in queries:
-        tickets.append(session.submit(sql))
-        time.sleep(float(rng.exponential(1.0 / arrival_rate_qps)))
-    for ticket in tickets:
-        ticket.wait(timeout)
-    wall = monotonic() - started
-
-    report = LoadReport(discipline="open-loop", wall_seconds=wall)
-    report.submitted = len(tickets)
-    for ticket in tickets:
-        _absorb_ticket(report, ticket)
-    return report
+        thread.join()
+    return LoadReport(
+        wall_seconds=monotonic() - started,
+        rows=tuple(row for client_rows in rows for row in client_rows),
+    )

@@ -17,11 +17,10 @@ Consistency with sample maintenance is handled two ways:
   both drops all cached answers and refuses inserts from workers that
   started before the rebuild.
 
-``simulate_service_time`` optionally makes each worker *occupy* itself for a
-fraction of the simulated cluster latency (wall-clock sleep =
-``simulated_seconds * simulate_service_time``).  This models the fact that a
-query occupies the cluster for its whole latency, and makes worker-count
-scaling measurable in wall-clock benchmarks.
+A worker is busy for as long as the host takes to answer; simulated cluster
+latency is reported on the ticket, never slept.  A test that needs a slow
+worker installs a :class:`~repro.faults.FaultPlan` with the
+``service.slow_worker`` point.
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports service
 
 _ticket_ids = itertools.count(1)
 _service_ids = itertools.count(1)
-
-#: Hard cap on one worker's occupancy sleep, whatever the scale says.
-_MAX_OCCUPANCY_SLEEP_SECONDS = 5.0
 
 
 @dataclass
@@ -301,7 +297,6 @@ class QueryService:
         deadline_slack: float = 0.25,
         default_predicted_seconds: float = 1.0,
         ewma_alpha: float = 0.3,
-        simulate_service_time: float = 0.0,
         name: str | None = None,
         autostart: bool = True,
         clock: Clock = monotonic,
@@ -326,7 +321,6 @@ class QueryService:
         )
         self.name = name or f"blinkdb-service-{next(_service_ids)}"
         self.num_workers = num_workers
-        self.simulate_service_time = simulate_service_time
         #: Monotonic time source for queue-wait/service-time measurement;
         #: injectable so tests can drive ticket timing deterministically.
         self.clock = clock
@@ -785,12 +779,6 @@ class QueryService:
                 return
 
         simulated = result.simulated_latency_seconds
-        if self.simulate_service_time > 0.0 and simulated is not None:
-            # Occupy this worker for a scaled-down share of the simulated
-            # cluster latency: the cluster is busy for the whole query.
-            time.sleep(
-                min(simulated * self.simulate_service_time, _MAX_OCCUPANCY_SLEEP_SECONDS)
-            )
         service_seconds = self.clock() - started
         ticket.metrics.service_seconds = service_seconds
         ticket.metrics.sample_name = result.sample_name

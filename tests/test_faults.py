@@ -1,17 +1,18 @@
-"""Unit tests for the fault-injection harness (no shared memory required).
+"""Unit tests for the fault-injection harness.
 
 Covers the :mod:`repro.faults` package itself — plan parsing, deterministic
 seeded decisions, the installation plumbing, and the circuit breaker state
-machine — plus the injection points that don't need a process pool: the
-ingest write path (with the controller's retry/re-queue policy) and the
-service layer's retry loop and slow-worker point.
+machine — plus the injection points: the ingest write path (with the
+controller's retry/re-queue policy), the service layer's retry loop and
+slow-worker point, and the process pool's chunk-dispatch points (the only
+tests here that need POSIX shared memory).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.common.config import BlinkDBConfig
+from repro.common.config import BlinkDBConfig, ClusterConfig, SamplingConfig
 from repro.common.errors import ExecutionError, QueryRejectedError
 from repro.core.blinkdb import BlinkDB
 from repro.faults import (
@@ -25,7 +26,9 @@ from repro.faults import (
 from repro.faults import injector as injector_mod
 from repro.ingest.controller import IngestController
 from repro.service.server import QueryService
+from repro.storage import shm
 from repro.storage.table import Table
+from repro.workloads.conviva import conviva_query_templates
 
 
 # -- plan parsing -------------------------------------------------------------------
@@ -494,6 +497,66 @@ class TestServiceFaults:
             with _service(db) as service:
                 assert service.retries == 3
                 assert service.retry_backoff_seconds == 0.0
+        finally:
+            db.close()
+
+
+# -- the process pool's dispatch points ---------------------------------------------
+
+#: A rule at every procpool dispatch point that can never fire (``nth`` is far
+#: beyond any arrival here): every chunk pays the arrival-counting path, and
+#: no query may notice.
+_INERT_PLAN = (
+    "procpool.worker_crash:nth=1000000000;"
+    " procpool.worker_hang:nth=1000000000;"
+    " shm.attach_fail:nth=1000000000"
+)
+_DISPATCH_POINTS = ("procpool.worker_crash", "procpool.worker_hang", "shm.attach_fail")
+_PARTITIONED_SQL = "SELECT COUNT(*), AVG(session_time) FROM sessions GROUP BY city"
+
+
+def _bits(result):
+    return [
+        (group.key, name, agg.estimate.value, agg.estimate.variance, agg.interval.half_width)
+        for group in result.groups
+        for name, agg in sorted(group.aggregates.items())
+    ]
+
+
+class TestProcpoolFaults:
+    @pytest.mark.skipif(
+        not shm.shared_memory_available(), reason="POSIX shared memory unavailable"
+    )
+    def test_inert_plan_is_consulted_at_every_dispatch_point(self, sessions_table):
+        db = BlinkDB(
+            BlinkDBConfig(
+                sampling=SamplingConfig(
+                    largest_cap=300, min_cap=25, uniform_sample_fraction=0.1
+                ),
+                cluster=ClusterConfig(num_nodes=8),
+                execution_backend="processes",
+                procpool_workers=2,
+            )
+        )
+        try:
+            db.load_table(sessions_table, simulated_rows=100_000_000)
+            db.register_workload(templates=conviva_query_templates())
+            db.build_samples(storage_budget_fraction=0.5)
+
+            def run():
+                return db.runtime.execute_partitioned(
+                    _PARTITIONED_SQL, num_partitions=8, sim_workers=4
+                )
+
+            plain = run()
+            with injector_mod.installed(FaultPlan.parse(_INERT_PLAN)) as injector:
+                inert = run()
+            stats = injector.stats()
+            for point in _DISPATCH_POINTS:
+                assert stats[f"{point}.arrivals"] > 0, stats
+                assert stats.get(f"{point}.fires", 0) == 0, stats
+            assert plain.groups
+            assert _bits(inert) == _bits(plain)
         finally:
             db.close()
 

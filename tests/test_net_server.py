@@ -10,7 +10,9 @@ stamp, and metadata that ``db.query()`` returns in-process.
 
 from __future__ import annotations
 
+import contextlib
 import socket
+from collections import Counter
 
 import pytest
 
@@ -21,9 +23,10 @@ from repro.faults import FaultPlan
 from repro.faults import injector as injector_mod
 from repro.net import protocol
 from repro.net.client import Client, TransportError
-from repro.net.loadharness import jain_index
+from repro.service.loadgen import run_closed_loop
 from repro.service.tenancy import TenantQuota
 from repro.workloads.conviva import conviva_query_templates
+from repro.workloads.tracegen import generate_trace
 
 SQL = "SELECT COUNT(*) FROM sessions WHERE city = 'city_0003' GROUP BY os"
 SUM_SQL = "SELECT SUM(session_time) FROM sessions WHERE city = 'city_0003' GROUP BY os"
@@ -328,12 +331,45 @@ class TestRetryAndCleanup:
                 client.healthz()
 
 
-class TestJainIndex:
-    def test_perfect_fairness(self):
-        assert jain_index([10.0, 10.0, 10.0]) == pytest.approx(1.0)
+class TestWireLoad:
+    TENANTS = ("gold", "silver", "bronze")
+    CONNECTIONS_PER_TENANT = 2
 
-    def test_total_unfairness(self):
-        assert jain_index([30.0, 0.0, 0.0]) == pytest.approx(1.0 / 3.0)
+    def test_closed_loop_over_the_wire(self, net_db, net_server, sessions_table):
+        """The load driver over real sockets: 3 tenants x 2 connections."""
+        queries = generate_trace(
+            conviva_query_templates(),
+            sessions_table,
+            num_queries=24,
+            seed=83,
+            measure_columns=("session_time",),
+        )
+        clients: list[Client] = []
+        with contextlib.ExitStack() as stack:
 
-    def test_empty_is_vacuously_fair(self):
-        assert jain_index([]) == 1.0
+            def connect(index: int):
+                tenant = self.TENANTS[index // self.CONNECTIONS_PER_TENANT]
+                client = stack.enter_context(
+                    Client(net_server.host, net_server.port, tenant=tenant)
+                )
+                clients.append(client)
+                return client.query
+
+            report = run_closed_loop(
+                connect,
+                queries,
+                num_clients=len(self.TENANTS) * self.CONNECTIONS_PER_TENANT,
+                timeout=60.0,
+            )
+        assert report.submitted == len(queries)
+        assert sum(client.stats["transport_errors"] for client in clients) == 0
+        assert report.failed == 0, [row.error for row in report.rows if row.error]
+        answered = Counter(
+            self.TENANTS[row.client // self.CONNECTIONS_PER_TENANT]
+            for row in report.rows
+            if row.outcome == "completed"
+        )
+        assert all(answered[tenant] >= 1 for tenant in self.TENANTS), answered
+        for row in report.rows:
+            if row.result is not None:
+                assert_results_identical(row.result, net_db.query(row.sql))

@@ -76,12 +76,34 @@ class TestConcurrentQueries:
             time_bounds=(20.0, 40.0),
         )
         with concurrent_db.serve(num_workers=4, max_queue_depth=None) as service:
-            report = run_closed_loop(service, queries, num_clients=6, timeout=120)
+            report = run_closed_loop(
+                lambda i: service.connect(name=f"analyst-{i}").execute,
+                queries,
+                num_clients=6,
+                timeout=120,
+            )
+            metrics = service.metrics
+            shed = (
+                metrics.shed_deadline.value
+                + metrics.shed_queue_full.value
+                + metrics.shed_quota.value
+            )
+            # Admission accounting is exact: every statement the clients sent
+            # was served from the cache, admitted, or shed.
+            assert metrics.submitted.value == 24
+            assert metrics.cache_hits.value + metrics.admitted.value + shed == 24
         assert report.submitted == 24
         assert report.completed + report.shed + report.failed == 24
         assert report.failed == 0
         assert report.completed > 0
-        assert report.throughput_qps > 0
+        assert report.shed == shed
+        # One row per statement: client i issued queries[i::6], in order.
+        for index in range(6):
+            client_rows = [row for row in report.rows if row.client == index]
+            assert [row.sql for row in client_rows] == queries[index::6]
+        assert all(
+            (row.result is not None) == (row.outcome == "completed") for row in report.rows
+        )
 
     def test_rebuild_between_queries_is_not_served_stale(self, concurrent_db):
         sql = "SELECT AVG(session_time) FROM sessions WHERE country = 'country_0003' GROUP BY dt"
