@@ -136,7 +136,10 @@ def run_backend_sweep():
         handle = pool.ensure_export(epoch, "wide", table, weights) if warmed else None
 
         def processes():
-            return pool.map_partitions(query, handle, partitions, sink=ScanSink())
+            return pool.map_partitions(
+                query, partitions, epoch=epoch, key="wide", table=table,
+                weights=weights, sink=ScanSink(),
+            )[0]
 
         backends = [("serial", serial), ("threads", threaded)]
         if handle is not None:

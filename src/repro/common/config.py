@@ -264,13 +264,11 @@ class BlinkDBConfig:
     # Rows per zone-map block (the granularity of skip decisions).
     zone_block_rows: int = 4096
     # -- observability (query-lifecycle tracing + accuracy ledger) ---------------
-    # When False no query is ever traced (EXPLAIN ANALYZE still forces a
-    # trace for its own execution).
-    tracing_enabled: bool = True
     # Fraction of executions that get a full span tree attached under
     # metadata["trace"].  1.0 traces everything; under load an operator drops
     # this (e.g. 0.01) so the hot path pays only one sampling decision per
-    # query.  Sampling is deterministic (counted, not an RNG): of the first
+    # query, and 0.0 traces nothing (EXPLAIN ANALYZE still forces a trace
+    # for its own execution).  Sampling is deterministic (counted, not an RNG): of the first
     # n queries exactly floor(rate * n) are traced, evenly spaced.
     trace_sample_rate: float = 1.0
 

@@ -541,24 +541,6 @@ class BlinkDB:
             injector = faults.active()
             if injector is not None:
                 flat.update(injector.stats())
-            procpool = self._procpool  # never *create* the pool for a scrape
-            if procpool is not None:
-                stats = procpool.stats()
-                for key in (
-                    "retries",
-                    "respawns",
-                    "hedges",
-                    "surrendered",
-                    "thread_redispatches",
-                    "breaker_state",
-                    "breaker_trips",
-                    "breaker_half_opens",
-                    "breaker_consecutive_failures",
-                ):
-                    flat[f"procpool.{key}"] = stats.get(key, 0)
-                for key, value in stats.items():
-                    if key.startswith("fallbacks."):
-                        flat[f"procpool.{key}"] = value
             with self._services_lock:
                 services = list(self._services)
             for service in services:
@@ -567,9 +549,9 @@ class BlinkDB:
 
         self.obs.register_stats(
             "faults",
-            "Fault injection and self-healing: injector arrivals/fires per "
-            "point, procpool retry/respawn/hedge/surrender counters, circuit "
-            "breaker state and trips, and per-service query retries.",
+            "Fault injection: injector arrivals/fires per point, and "
+            "per-service query retries (the process pool's healing counters "
+            "are series of the procpool metric).",
             faults_stats,
         )
 

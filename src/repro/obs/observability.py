@@ -6,7 +6,7 @@ invalidations (sample rebuilds discard the runtime, not the telemetry).  It
 wires the three tentpole pieces together:
 
 * the :class:`~repro.obs.trace.SpanTracer` that decides which queries get a
-  span tree (``config.tracing_enabled`` / ``config.trace_sample_rate``);
+  span tree (``config.trace_sample_rate``);
 * the :class:`~repro.obs.registry.MetricsRegistry` behind ``db.metrics()``
   and ``db.metrics_text()``;
 * the :class:`~repro.obs.ledger.AccuracyLedger` tracking
@@ -44,11 +44,7 @@ class Observability:
         config = config or BlinkDBConfig()
         self.config = config
         self.clock = clock
-        self.tracer = SpanTracer(
-            enabled=config.tracing_enabled,
-            sample_rate=config.trace_sample_rate,
-            clock=clock,
-        )
+        self.tracer = SpanTracer(sample_rate=config.trace_sample_rate, clock=clock)
         self.registry = MetricsRegistry(namespace)
         # Rolling window: 512 observations per template.
         self.ledger = AccuracyLedger(window=512)

@@ -307,20 +307,14 @@ class SpanTracer:
     begins exactly ``floor(round(n * sample_rate, 9))`` have been traced
     (``n`` of ``n`` at rate 1, none at rate 0), evenly spaced.  Assigning a
     new ``sample_rate`` starts the count again from ``k = 1``.
-    ``force=True`` (EXPLAIN ANALYZE) bypasses sampling — and the disabled
-    switch — because the caller is about to render the trace; forced begins
-    do not count towards the sampling schedule.
+    ``force=True`` (EXPLAIN ANALYZE) bypasses sampling — a rate of 0 traces
+    nothing else — because the caller is about to render the trace; forced
+    begins do not count towards the sampling schedule.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        sample_rate: float = 1.0,
-        clock: Clock = monotonic,
-    ) -> None:
+    def __init__(self, sample_rate: float = 1.0, clock: Clock = monotonic) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample_rate must be in [0, 1]")
-        self.enabled = enabled
         self.sample_rate = sample_rate
         self.clock = clock
         self._lock = threading.Lock()
@@ -336,7 +330,7 @@ class SpanTracer:
         with self._lock:
             self._started += 1
             if not force:
-                if not self.enabled or self.sample_rate <= 0.0:
+                if self.sample_rate <= 0.0:
                     return NULL_TRACE
                 if self.sample_rate != self._schedule_rate:
                     self._schedule_rate = self.sample_rate

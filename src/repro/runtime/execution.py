@@ -45,6 +45,7 @@ read/write state lock, not by the runtime — the facade discards the runtime
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -65,10 +66,9 @@ from repro.obs.trace import AnySpan, AnyTrace
 from repro.planner.logical import LogicalPlan
 from repro.planner.physical import BranchPlan, PhysicalPlan, PlanMode
 from repro.planner.planner import QueryPlanner
-from repro.runtime.partitioned import PartitionPipeline, ProgressCallback
-from repro.runtime.procpool import ProcessBackend, ProcessPartitionPool
+from repro.runtime.partitioned import Offload, PartitionPipeline, ProgressCallback
+from repro.runtime.procpool import ProcessPartitionPool
 from repro.runtime.sizing import ErrorLatencyProfile
-from repro.sampling.resolution import SampleResolution
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
@@ -413,12 +413,6 @@ class BlinkDBRuntime:
             partitions=spec.num_partitions,
             sample=resolution.name,
         ) as dispatch:
-            pool = self._partition_pool()
-            backend, decline_reason = self._process_backend(
-                plan.logical, resolution, fallback=pool
-            )
-            if backend is not None and wall_timeout_seconds is not None:
-                backend.deadline = monotonic() + wall_timeout_seconds
             result = self.pipeline.run(
                 plan.logical,
                 resolution.table,
@@ -429,17 +423,11 @@ class BlinkDBRuntime:
                 scan_latency_seconds=spec.scan_latency_seconds,
                 task_overhead_seconds=spec.task_overhead_seconds,
                 deadline_seconds=spec.deadline_seconds,
-                pool=backend if backend is not None else pool,
+                pool=self._partition_pool(),
+                offload=self._offload(plan, wall_timeout_seconds),
                 progress=progress,
                 trace_span=dispatch,
             )
-        # A pre-pipeline decline (breaker open, export failure, joins) never
-        # reaches the backend seam, so surface its reason here — silent
-        # thread fallback must stay visible in EXPLAIN ANALYZE and metrics.
-        if backend is None and decline_reason is not None:
-            info = result.metadata.get("backend_info")
-            if info is not None:
-                info.setdefault("fallback_reason", decline_reason)
         stats = result.metadata["partitions"]
         decision = self._decision(
             plan,
@@ -502,45 +490,34 @@ class BlinkDBRuntime:
             bound.logical, bound.resolution.table, self._context(bound, sink)
         )
 
-    def _process_backend(
-        self,
-        logical: LogicalPlan,
-        resolution: SampleResolution,
-        fallback: ThreadPoolExecutor | None,
-    ) -> tuple[ProcessBackend | None, str | None]:
-        """The process-pool binding for this resolution, or ``(None, why)``.
+    def _offload(
+        self, plan: PhysicalPlan, wall_timeout_seconds: float | None
+    ) -> Offload | None:
+        """The process pool's partition stage bound to ``plan``'s resolution.
 
-        ``None`` — plans with joins, ``execution_backend="threads"``, no
-        pool, shm unavailable, breaker open, or export failure — means the
-        pipeline uses the thread/inline path; a constructed backend still
-        carries ``fallback`` so it can decline per query without losing the
-        pool.  The second element names the decline reason whenever the
-        configuration *wanted* processes but this query can't use them.
+        ``None`` when the facade owns no pool (it creates one only for
+        ``execution_backend="processes"``).  Whether a query may actually
+        use the workers is decided per call by ``map_partitions``, which
+        names its reason whenever it declines.  ``wall_timeout_seconds``
+        becomes the call's wall-clock deadline, so a hung worker cannot hold
+        a ``WITHIN``-bounded query past its bound.
         """
-        procpool = self._procpool
-        if (
-            procpool is None
-            or self._procpool_epoch is None
-            or self.config.execution_backend != "processes"
-        ):
-            return None, None
-        if logical.joins:
-            procpool.record_fallback("joins")
-            return None, "joins"
-        if not procpool.admit():
-            return None, procpool.last_fallback_reason or procpool.fallback_reason
-        handle = procpool.ensure_export(
-            self._procpool_epoch,
-            f"{logical.table}:{resolution.name}",
-            resolution.table,
-            resolution.weights,
+        if self._procpool is None:
+            return None
+        resolution = plan.resolution
+        assert resolution is not None
+        deadline = None
+        if wall_timeout_seconds is not None:
+            deadline = monotonic() + wall_timeout_seconds
+        return functools.partial(
+            self._procpool.map_partitions,
+            epoch=self._procpool_epoch,
+            key=f"{plan.logical.table}:{resolution.name}",
+            table=resolution.table,
+            weights=resolution.weights,
+            executor=self.executor,
+            deadline=deadline,
         )
-        if handle is None:
-            return None, procpool.last_fallback_reason or "export failed"
-        backend = ProcessBackend(
-            procpool, handle, executor=self.executor, fallback=fallback
-        )
-        return backend, None
 
     def _partition_pool(self) -> ThreadPoolExecutor | None:
         """The shared partial-aggregation pool (None when configured inline)."""

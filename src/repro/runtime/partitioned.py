@@ -30,6 +30,16 @@ scale so COUNT/SUM stay unbiased and the error bars widen to reflect the
 rows that were never seen.  At least one partition is always merged.  A
 ``progress`` callback observes one :class:`ProgressiveSnapshot` per merge,
 which is how the service layer exposes progressively refining answers.
+
+Backends
+--------
+The partial states are computed by one of three backends, named in
+``result.metadata["backend_info"]``.  An optional ``offload`` callable (the
+runtime binds :meth:`~repro.runtime.procpool.ProcessPartitionPool.map_partitions`
+to it on the processes backend) gets the partitions first and returns
+``(partials or None, backend_info)``; whatever it declines, with the reason
+it gives, runs on the shared thread ``pool`` or inline.  Every backend
+produces bit-identical partial states.
 """
 
 from __future__ import annotations
@@ -117,6 +127,12 @@ class PartitionRunStats:
 
 ProgressCallback = Callable[[ProgressiveSnapshot], None]
 
+#: The process backend's partition stage, as the runtime binds it:
+#: ``offload(plan, partitions, sink=..., trace_span=...)`` returns
+#: ``(partials, backend_info)``, or ``(None, {"fallback_reason": ...})`` to
+#: hand the partitions back to the thread pool.
+Offload = Callable[..., tuple[list[PartialAggregation | None] | None, dict[str, Any]]]
+
 
 class PartitionPipeline:
     """Partition → partial state → merge → estimate, on a simulated clock."""
@@ -146,6 +162,7 @@ class PartitionPipeline:
         deadline_seconds: float | None = None,
         confidence: float | None = None,
         pool: Executor | None = None,
+        offload: Offload | None = None,
         progress: ProgressCallback | None = None,
         trace_span: AnySpan = NULL_SPAN,
     ) -> QueryResult:
@@ -159,6 +176,9 @@ class PartitionPipeline:
         run; the stages open children under it (the partial-aggregation
         children are opened *from the pool's worker threads* — the trace's
         internal lock makes that safe).
+
+        ``offload`` is the process backend bound by the runtime (see
+        :data:`Offload`); ``pool`` runs whatever it declines.
         """
         plan = LogicalPlan.of(plan)
         weights = context.weights
@@ -223,7 +243,7 @@ class PartitionPipeline:
         # row/weight coverage — no data of theirs is ever read.
         to_aggregate = [partitions[t.index] for t in merged_timings if not t.skipped]
         aggregated, backend_info = self._aggregate(
-            plan, to_aggregate, pool, sink=context.scan_sink, trace_span=trace_span
+            plan, to_aggregate, pool, offload, sink=context.scan_sink, trace_span=trace_span
         )
         real_partials = iter(aggregated)
         partials = [
@@ -421,44 +441,30 @@ class PartitionPipeline:
         plan: LogicalPlan,
         partitions: Sequence[TablePartition],
         pool: Executor | None,
+        offload: Offload | None,
         sink: ScanSink | None = None,
         trace_span: AnySpan = NULL_SPAN,
     ) -> tuple[list[PartialAggregation | None], dict[str, Any]]:
         """Partial-aggregate ``partitions``; also report which backend ran.
 
         The second element is the ``backend_info`` dict surfaced under
-        ``result.metadata``: the backend actually used ("processes",
-        "threads", or "inline"), the fallback reason when a process backend
-        declined or failed, and — on the process path — the call's healing
-        accounting (retries / hedges / respawns / surrendered counts).
+        ``result.metadata``.  ``offload`` goes first: when it returns
+        partials its ``backend_info`` is used as is ("processes" plus the
+        call's healing accounting); when it returns ``None`` the partitions
+        run on ``pool`` ("threads") or on this thread ("inline"), and the
+        offload's ``fallback_reason`` rides along.
         """
         aggregate = self.executor.partial_aggregate_partition
         if not partitions:
             return [], {"backend": "inline"}
         with trace_span.span("partial-aggregate", partitions=len(partitions)) as dispatch:
-            # Backend seam: a process backend (duck-typed on
-            # ``map_partitions``) runs the partials in worker processes over
-            # shared memory and ships back serialized states; any ``None``
-            # return (no shm, joins, worker death) falls through to its
-            # thread-pool fallback with identical semantics.
-            fallback_reason: str | None = None
-            tried_processes = hasattr(pool, "map_partitions")
-            if tried_processes:
-                if len(partitions) > 1:
-                    shipped = pool.map_partitions(
-                        plan, partitions, sink=sink, trace_span=dispatch
-                    )
-                    if shipped is not None:
-                        dispatch.annotate(backend="processes")
-                        info: dict[str, Any] = {"backend": "processes"}
-                        info.update(getattr(pool, "last_health", None) or {})
-                        return shipped, info
-                    fallback_reason = (
-                        getattr(pool, "last_fallback_reason", None) or "pool declined"
-                    )
-                else:
-                    fallback_reason = "single_partition"
-                pool = getattr(pool, "fallback", None)
+            declined: dict[str, Any] = {}
+            if offload is not None:
+                shipped, info = offload(plan, partitions, sink=sink, trace_span=dispatch)
+                if shipped is not None:
+                    dispatch.annotate(backend="processes")
+                    return shipped, info
+                declined = info
 
             # The per-partition child spans are opened from whichever thread
             # runs the partition — the pool's workers under fan-out — and
@@ -473,11 +479,9 @@ class PartitionPipeline:
             else:
                 results = list(pool.map(one, partitions))
                 backend = "threads"
-            info = {"backend": backend}
-            if fallback_reason is not None:
-                info["fallback_reason"] = fallback_reason
-                dispatch.annotate(backend=backend, fallback_reason=fallback_reason)
-            return results, info
+            if declined:
+                dispatch.annotate(backend=backend, **declined)
+            return results, {"backend": backend, **declined}
 
     @staticmethod
     def _skipped_partial(

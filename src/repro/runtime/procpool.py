@@ -15,21 +15,27 @@ a persistent spawn-based :class:`ProcessPartitionPool` whose workers
   :class:`~repro.engine.accumulators.PartialAggregation` states —
   O(groups × aggregates) bytes per partition, never O(rows).
 
-The pool is deliberately dumb about *what* it runs: the pipeline seam in
-:mod:`repro.runtime.partitioned` duck-types on
-:meth:`ProcessBackend.map_partitions`, and every failure path (no
-``/dev/shm``, spawn refused) returns ``None`` so the caller falls back to
-the thread/inline path — the process backend can degrade, never break, a
-query.
+The pool is deliberately dumb about *what* it runs.  The runtime binds
+:meth:`ProcessPartitionPool.map_partitions` to one sample resolution and
+hands it to :class:`~repro.runtime.partitioned.PartitionPipeline` as its
+optional offload callable.  The call returns ``(partials or None,
+backend_info)``, and it alone decides every decline — a plan with joins, an
+unavailable pool, an open breaker, a failed export, a single partition, a
+stale handle, a fault that left nothing computed — naming the reason in
+``backend_info["fallback_reason"]``.  On ``None`` the pipeline runs the
+partitions on its thread pool with identical semantics: the process backend
+can degrade, never break, a query.
 
-Failure model (PR 9): worker faults are *expected*, not terminal.  A dead
-worker breaks the round's futures; the pool recycles itself (respawn) and
-re-dispatches the failed chunks with capped exponential backoff + seeded
-jitter for a bounded number of rounds.  A hung worker is detected by a
-per-task deadline and its chunk *hedged* to the calling thread instead of
-waiting.  Chunks that exhaust every retry are re-dispatched on the parent
-thread one partition at a time; a partition that still cannot be computed is
-**surrendered** — returned as a ``None`` hole for the pipeline's
+Failure model: worker faults are *expected*, not terminal.  One round loop
+(:meth:`ProcessPartitionPool._run_rounds`) submits the tasks, waits under
+the per-task and per-call deadlines, recycles the pool (respawn) when a
+dead worker breaks the round, and re-dispatches the failed tasks with capped
+exponential backoff + seeded jitter for a bounded number of rounds.  A hung
+worker's task is cancelled at its deadline and the pool recycled, which
+terminates the worker; :meth:`~ProcessPartitionPool.map_partitions` then
+recomputes that chunk, and any chunk that exhausted its retries, on the
+calling thread one partition at a time.  A partition that still cannot be
+computed is **surrendered** — returned as a ``None`` hole for the pipeline's
 anytime/coverage machinery to scale around, never silently wrong.  A
 :class:`~repro.faults.breaker.CircuitBreaker` sits in front of admission:
 repeated faulted queries trip the backend to threads entirely, with a
@@ -45,9 +51,10 @@ the generation that exported it — even when workers died uncleanly,
 ``close()`` unlinks first and only then tears the pool down.
 
 Beyond queries, :meth:`ProcessPartitionPool.map_calls` runs arbitrary
-module-level functions on the same workers — sample builds fan per-stratum
-permutation work out through it, and ingest maintenance fans its per-family
-batch preparation — so writes scale on the same pool as reads.
+module-level functions on the same workers and heals in the same rounds —
+sample builds fan per-stratum permutation work out through it, and ingest
+maintenance fans its per-family batch preparation — so writes scale on the
+same pool as reads.
 """
 
 from __future__ import annotations
@@ -57,9 +64,10 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Sequence
 
@@ -78,11 +86,12 @@ from repro.obs.trace import NULL_SPAN, AnySpan
 from repro.planner.logical import LogicalPlan
 from repro.storage import shm
 from repro.storage.block import Block, TablePartition
+from repro.storage.table import Table
 
 #: How many attached segments each worker keeps mapped (LRU).  A segment is
 #: attached once per worker and reused across every query of its generation;
 #: the cache only matters when many tables/resolutions rotate through.
-_DEFAULT_SEGMENT_CACHE = 8
+_SEGMENT_CACHE = 8
 
 #: Ceiling of the retry backoff between re-dispatch rounds.
 _MAX_BACKOFF_SECONDS = 1.0
@@ -97,11 +106,10 @@ _MAX_BACKOFF_SECONDS = 1.0
 _WORKER: dict[str, Any] = {}
 
 
-def _worker_init(executor_options: dict[str, Any], cache_segments: int) -> None:
+def _worker_init(executor_options: dict[str, Any]) -> None:
     """Per-process initializer: a private executor + an attach cache."""
     _WORKER["executor"] = QueryExecutor(**executor_options)
     _WORKER["segments"] = OrderedDict()
-    _WORKER["cache_segments"] = max(1, int(cache_segments))
 
 
 def _attached(handle: shm.SharedTableHandle) -> shm.AttachedTable:
@@ -113,7 +121,7 @@ def _attached(handle: shm.SharedTableHandle) -> shm.AttachedTable:
         return cached
     attached = shm.attach_table(handle)
     segments[handle.segment] = attached
-    while len(segments) > _WORKER["cache_segments"]:
+    while len(segments) > _SEGMENT_CACHE:
         _, evicted = segments.popitem(last=False)
         evicted.close()
     return attached
@@ -211,6 +219,32 @@ def stratum_permutations_task(
 # -- parent side --------------------------------------------------------------------
 
 
+@dataclass
+class _Rounds:
+    """What :meth:`ProcessPartitionPool._run_rounds` leaves behind.
+
+    ``results`` maps task index to result in gather order; ``hedged`` holds
+    the tasks cancelled at their deadline and ``pending`` the ones still
+    failing when the rounds ran out.  ``fault`` describes the first fault and
+    ``error`` names the type of the first exception.
+    """
+
+    pending: list[int]
+    results: dict[int, Any] = field(default_factory=dict)
+    hedged: list[int] = field(default_factory=list)
+    fault: str | None = None
+    error: str | None = None
+    retries: int = 0
+    tasks: int = 0
+
+    def fail(self, cause: BaseException | str) -> None:
+        """Note a fault; only the first one is kept."""
+        if isinstance(cause, BaseException):
+            self.error = self.error or type(cause).__name__
+            cause = f"{type(cause).__name__}: {cause}"
+        self.fault = self.fault or cause
+
+
 class ProcessPartitionPool:
     """A persistent spawn-based worker pool over shared-memory table exports.
 
@@ -230,8 +264,6 @@ class ProcessPartitionPool:
         *,
         scan_acceleration: bool = True,
         zone_block_rows: int | None = None,
-        encoded_fold: bool = True,
-        cache_segments: int = _DEFAULT_SEGMENT_CACHE,
         task_timeout_seconds: float | None = 30.0,
         retry_attempts: int = 2,
         retry_backoff_seconds: float = 0.05,
@@ -244,9 +276,7 @@ class ProcessPartitionPool:
         self._executor_options = {
             "scan_acceleration": scan_acceleration,
             "zone_block_rows": zone_block_rows,
-            "encoded_fold": encoded_fold,
         }
-        self._cache_segments = cache_segments
         self.task_timeout_seconds = task_timeout_seconds
         self.retry_attempts = max(0, int(retry_attempts))
         self.retry_backoff_seconds = max(0.0, retry_backoff_seconds)
@@ -269,24 +299,19 @@ class ProcessPartitionPool:
         self._bytes_shipped_last = 0
         self._segments_exported = 0
         self._bytes_exported = 0
-        # Healing counters (PR 9).
+        # Healing counters.
         self._retries = 0
         self._respawns = 0
         self._hedges = 0
         self._surrendered = 0
         self._thread_redispatches = 0
         self._fallbacks: dict[str, int] = {}
-        self._last_fallback_reason: str | None = None
 
     # -- availability --------------------------------------------------------------
     @property
     def available(self) -> bool:
         """Whether the process backend can run here (or has permanently failed)."""
-        return (
-            not self._closed
-            and self._failure is None
-            and shm.shared_memory_available()
-        )
+        return self.fallback_reason is None
 
     @property
     def fallback_reason(self) -> str | None:
@@ -299,32 +324,16 @@ class ProcessPartitionPool:
             return "shared memory unavailable"
         return None
 
-    @property
-    def last_fallback_reason(self) -> str | None:
-        """The most recent reason a query declined/left the process path."""
-        with self._lock:
-            return self._last_fallback_reason
-
-    def record_fallback(self, reason: str) -> None:
+    def _record_fallback(self, reason: str) -> None:
         """Count one thread-fallback event under a short reason slug."""
         slug = reason.strip().lower().replace(" ", "_")[:64] or "unknown"
         with self._lock:
             self._fallbacks[slug] = self._fallbacks.get(slug, 0) + 1
-            self._last_fallback_reason = reason
 
-    def admit(self) -> bool:
-        """Gate a query into the process path (consults the circuit breaker).
-
-        Mutating — an ``open`` breaker past its cooldown admits exactly one
-        probe query here.  Callers that are refused must take the thread
-        path for this query.
-        """
-        if not self.available:
-            return False
-        if not self.breaker.allow():
-            self.record_fallback("breaker_open")
-            return False
-        return True
+    def _decline(self, reason: str) -> tuple[None, dict[str, Any]]:
+        """Count a fallback under ``reason`` and hand the query back to threads."""
+        self._record_fallback(reason)
+        return None, {"fallback_reason": reason}
 
     def _mark_failed(self, exc: BaseException) -> None:
         """Record a *permanent* platform failure and retire the pool.
@@ -350,7 +359,7 @@ class ProcessPartitionPool:
                         max_workers=self.max_workers,
                         mp_context=get_context("spawn"),
                         initializer=_worker_init,
-                        initargs=(dict(self._executor_options), self._cache_segments),
+                        initargs=(dict(self._executor_options),),
                     )
                 except Exception as exc:  # pragma: no cover - platform-specific
                     self._failure = f"{type(exc).__name__}: {exc}"
@@ -422,35 +431,42 @@ class ProcessPartitionPool:
 
         Idempotent per key: repeated calls for the same resolution reuse the
         first export.  Returns ``None`` when exporting is impossible (shm
-        unavailable / pool closed) or fails — the query then falls back.  An
-        export failure (e.g. memory pressure on ``/dev/shm``) counts against
-        the breaker but does not retire the pool: the segment may well fit
-        next time.
+        unavailable / pool closed) or fails — the caller then falls back.
+        """
+        return self._export(epoch, key, table, weights)[0]
+
+    def _export(
+        self, epoch: int, key: str, table, weights
+    ) -> tuple[shm.SharedTableHandle | None, dict[str, Any]]:
+        """:meth:`ensure_export`, plus why it declined when it did.
+
+        An export failure (e.g. memory pressure on ``/dev/shm``) counts
+        against the breaker but does not retire the pool: the segment may
+        well fit next time.
         """
         if not self.available:
-            return None
+            return None, {"fallback_reason": self.fallback_reason}
         with self._lock:
             existing = self._exports.get((epoch, key))
             if existing is not None and not existing.closed:
-                return existing.handle
+                return existing.handle, {}
         try:
             export = shm.export_table(table, weights)
         except Exception as exc:
-            self.record_fallback(f"export_failed: {type(exc).__name__}")
             self.breaker.record_failure()
-            return None
+            return self._decline(f"export_failed: {type(exc).__name__}")
         with self._lock:
             if self._closed:
                 export.close()
-                return None
+                return None, {"fallback_reason": self.fallback_reason}
             raced = self._exports.get((epoch, key))
             if raced is not None and not raced.closed:
                 export.close()
-                return raced.handle
+                return raced.handle, {}
             self._exports[(epoch, key)] = export
             self._segments_exported += 1
             self._bytes_exported += export.nbytes
-        return export.handle
+        return export.handle, {}
 
     def release_epoch(self, epoch: int) -> None:
         """Close + unlink every segment exported under ``epoch`` (idempotent)."""
@@ -458,13 +474,6 @@ class ProcessPartitionPool:
             keys = [k for k in self._exports if k[0] == epoch]
             exports = [self._exports.pop(k) for k in keys]
         for export in exports:
-            export.close()
-
-    def release_export(self, epoch: int, key: str) -> None:
-        """Close + unlink one export (transient uses: sample builds)."""
-        with self._lock:
-            export = self._exports.pop((epoch, key), None)
-        if export is not None:
             export.close()
 
     # -- execution -----------------------------------------------------------------
@@ -502,48 +511,154 @@ class ProcessPartitionPool:
         )[0]
         return base * (0.5 + float(jitter))
 
+    def _run_rounds(
+        self,
+        submit: Callable[[ProcessPoolExecutor, int], Future],
+        num_tasks: int,
+        *,
+        task_timeout: float | None,
+        deadline: float | None,
+    ) -> _Rounds:
+        """Run tasks ``0 .. num_tasks - 1`` on the pool in healing rounds.
+
+        Each round submits every pending task through ``submit`` and waits
+        for each under ``task_timeout`` and the call's ``deadline``
+        (``monotonic()`` scale).  A task past its deadline is cancelled and
+        set aside as *hedged*; a broken pool cancels the round's remaining
+        futures at once, keeps any that already finished and re-pends the
+        rest; a task that raised is re-pended alone.  After a broken or hung
+        round the pool is recycled (terminating the hung worker) so the next
+        round respawns it, and the loop sleeps a capped, jittered backoff.
+        At most ``retry_attempts`` rounds follow the first.
+        """
+        out = _Rounds(pending=list(range(num_tasks)))
+        round_number = 0
+        while out.pending and round_number <= self.retry_attempts:
+            if deadline is not None and monotonic() >= deadline:
+                break
+            round_number += 1
+            pool = self._ensure_pool()
+            if pool is None:
+                out.fail(self._failure or "pool unavailable")
+                break
+
+            broken = hung = False
+            submitted: list[tuple[int, Future]] = []
+            for task in out.pending:
+                try:
+                    submitted.append((task, submit(pool, task)))
+                except Exception as exc:
+                    # The pool broke between rounds (a worker died while
+                    # idle): unsubmitted tasks stay pending for the respawn.
+                    out.fail(exc)
+                    broken = True
+                    break
+            out.tasks += len(submitted)
+            submitted_ids = {task for task, _ in submitted}
+            next_pending = [task for task in out.pending if task not in submitted_ids]
+
+            for slot, (task, future) in enumerate(submitted):
+                wait = task_timeout
+                if deadline is not None:
+                    remaining = deadline - monotonic()
+                    wait = remaining if wait is None else min(wait, remaining)
+                try:
+                    if wait is not None and wait <= 0.0:
+                        raise FuturesTimeoutError()
+                    out.results[task] = future.result(timeout=wait)
+                except FuturesTimeoutError:
+                    future.cancel()
+                    hung = True
+                    out.fail("worker hang: task deadline exceeded")
+                    out.hedged.append(task)
+                except BrokenProcessPool as exc:
+                    out.fail(exc)
+                    broken = True
+                    next_pending.append(task)
+                    for other_task, other in submitted[slot + 1 :]:
+                        other.cancel()
+                        if other.done() and not other.cancelled():
+                            try:
+                                out.results[other_task] = other.result(timeout=0)
+                                continue
+                            except Exception:
+                                pass
+                        next_pending.append(other_task)
+                    break
+                except Exception as exc:
+                    # Worker-raised (picklable) failure: only this task
+                    # failed, the pool survives.
+                    out.fail(exc)
+                    next_pending.append(task)
+
+            out.pending = next_pending
+            if broken or hung:
+                self._recycle_pool()
+            if out.pending and round_number <= self.retry_attempts:
+                out.retries += len(out.pending)
+                delay = self._retry_delay(round_number, salt=len(out.pending))
+                if deadline is not None:
+                    delay = min(delay, max(0.0, deadline - monotonic()))
+                if delay > 0.0:
+                    time.sleep(delay)
+        return out
+
     def map_partitions(
         self,
         plan: LogicalPlan,
-        handle: shm.SharedTableHandle,
         partitions: Sequence[TablePartition],
         *,
+        epoch: int,
+        key: str,
+        table: Table,
+        weights: np.ndarray | None = None,
         sink: ScanSink | None = None,
         executor: QueryExecutor | None = None,
         trace_span: AnySpan = NULL_SPAN,
-        timeout: float | None = None,
-        health: dict[str, Any] | None = None,
-    ) -> list[PartialAggregation | None] | None:
-        """Partial-aggregate ``partitions`` of the exported table in workers.
+        deadline: float | None = None,
+    ) -> tuple[list[PartialAggregation | None] | None, dict[str, Any]]:
+        """Partial-aggregate ``partitions`` of ``table`` in the workers.
+
+        Returns ``(partials, backend_info)``.  ``partials`` is ``None`` when
+        the query should run on threads instead, and ``backend_info`` then
+        holds the one ``fallback_reason``; this method decides every such
+        decline, in this order: ``joins`` (workers hold no dimension tables),
+        an unavailable pool, ``breaker_open``, ``export_failed: <error>``
+        (``table`` is exported under ``(epoch, key)`` once per epoch),
+        ``single_partition``, ``stale_handle``, and finally a fault that left
+        nothing computed.
 
         Partitions are split into at most ``max_workers`` contiguous chunks
         (one task each: partitions are equal row ranges, so chunks are
-        balanced); the plan is pickled once per query.  Results come back as
-        serialized partial states, reassembled into input order.  Worker
-        span records are re-anchored onto this process's monotonic clock
-        (``gather_end - worker_elapsed``) and attached under ``trace_span``;
-        worker scan counters merge into ``sink`` and ``executor``'s lifetime
-        totals exactly as the thread path would have recorded them.
-
-        Faults heal in place: a broken round cancels its still-pending
-        futures immediately, recycles the pool, and re-dispatches the failed
-        chunks (bounded rounds, capped backoff + jitter); a chunk whose task
-        deadline expires is hedged to the calling thread.  Chunks that
-        exhaust process-side retries are recomputed on the parent thread via
-        ``executor``; positions that still can't be computed come back as
-        ``None`` holes for the caller's coverage machinery.  ``timeout``
-        bounds the *whole* call in wall seconds (the service's admission
-        deadline lands here); ``health``, if given, is filled with this
-        call's retry/hedge/surrender accounting.
-
-        Returns ``None`` only when *nothing* could be computed — the caller
-        then falls back to threads wholesale.
+        balanced); the plan is pickled once per query.  The chunks run in
+        :meth:`_run_rounds`, which also applies ``deadline`` (``monotonic()``
+        scale: the service's admission deadline lands here).  Chunks the
+        rounds could not finish are recomputed on the calling thread via
+        ``executor``, hung ones first; positions that still can't be computed
+        come back as ``None`` holes for the caller's coverage machinery.
+        Worker span records are re-anchored onto this process's monotonic
+        clock (``gather_end - worker_elapsed``) and attached under
+        ``trace_span``; worker scan counters merge into ``sink`` and
+        ``executor``'s lifetime totals exactly as the thread path would have
+        recorded them.  On success ``backend_info`` carries the call's
+        healing accounting (retries / hedges / respawns / thread
+        redispatches / surrendered, and the first ``fault``).
         """
-        report: dict[str, Any] = health if health is not None else {}
+        if plan.joins:
+            return self._decline("joins")
         if not self.available:
-            return None
-        if not partitions:
-            return []
+            return None, {"fallback_reason": self.fallback_reason}
+        if not self.breaker.allow():
+            return self._decline("breaker_open")
+        handle, declined = self._export(epoch, key, table, weights)
+        if handle is None:
+            return None, declined
+        if len(partitions) < 2:
+            return None, {"fallback_reason": "single_partition"}
+        if partitions[0].source.num_rows != handle.num_rows:
+            # The table changed under its export.
+            return self._decline("stale_handle")
+
         plan_blob = pickle.dumps(plan)
         total = len(partitions)
         num_chunks = min(total, self.max_workers)
@@ -561,143 +676,55 @@ class ProcessPartitionPool:
             chunks.append(chunk)
             position += size
 
-        deadline = monotonic() + timeout if timeout is not None else None
         injector = _fault_active()
-        pending = list(range(len(chunks)))
-        hedged: list[int] = []
-        results: list[dict[str, Any]] = []
-        fault_note: str | None = None
-        retries_used = 0
-        hedges = 0
-        tasks_submitted = 0
+
+        def submit(pool: ProcessPoolExecutor, chunk_index: int) -> Future:
+            directive = self._chunk_fault_directive(injector)
+            return pool.submit(
+                _run_partition_chunk, handle, plan_blob, chunks[chunk_index], directive
+            )
+
         with self._lock:
             respawns_before = self._respawns
-        round_number = 0
-
-        while pending and round_number <= self.retry_attempts:
-            if deadline is not None and monotonic() >= deadline:
-                break
-            round_number += 1
-            pool = self._ensure_pool()
-            if pool is None:
-                fault_note = fault_note or self._failure or "pool unavailable"
-                break
-
-            submitted: list[tuple[int, Future]] = []
-            for chunk_index in pending:
-                directive = self._chunk_fault_directive(injector)
-                try:
-                    future = pool.submit(
-                        _run_partition_chunk,
-                        handle,
-                        plan_blob,
-                        chunks[chunk_index],
-                        directive,
-                    )
-                except Exception as exc:
-                    # Pool broke between rounds; unsubmitted chunks stay
-                    # pending for the next round.
-                    fault_note = fault_note or f"{type(exc).__name__}: {exc}"
-                    break
-                submitted.append((chunk_index, future))
-            tasks_submitted += len(submitted)
-            submitted_ids = {chunk_index for chunk_index, _ in submitted}
-            next_pending = [ci for ci in pending if ci not in submitted_ids]
-
-            broken = False
-            hung = False
-            for slot, (chunk_index, future) in enumerate(submitted):
-                wait: float | None = self.task_timeout_seconds
-                if deadline is not None:
-                    remaining = deadline - monotonic()
-                    wait = remaining if wait is None else min(wait, remaining)
-                try:
-                    if wait is not None and wait <= 0.0:
-                        raise FuturesTimeoutError()
-                    results.append(future.result(timeout=wait))
-                except FuturesTimeoutError:
-                    # Hung (or deadline-starved) task: don't wait, hedge the
-                    # chunk to the thread path and recycle the pool after
-                    # this round.
-                    future.cancel()
-                    hung = True
-                    hedges += 1
-                    fault_note = fault_note or "worker hang: task deadline exceeded"
-                    hedged.append(chunk_index)
-                except BrokenProcessPool as exc:
-                    # First failure: cancel everything still pending instead
-                    # of awaiting the whole batch (satellite fix), salvage
-                    # any already-completed siblings, re-pend the rest.
-                    fault_note = fault_note or f"{type(exc).__name__}: {exc}"
-                    broken = True
-                    next_pending.append(chunk_index)
-                    for other_index, other in submitted[slot + 1 :]:
-                        other.cancel()
-                        salvaged = False
-                        if other.done() and not other.cancelled():
-                            try:
-                                results.append(other.result(timeout=0))
-                                salvaged = True
-                            except Exception:
-                                salvaged = False
-                        if not salvaged:
-                            next_pending.append(other_index)
-                    break
-                except Exception as exc:
-                    # Worker-raised (picklable) failure: only this chunk
-                    # failed, the pool survives.
-                    fault_note = fault_note or f"{type(exc).__name__}: {exc}"
-                    next_pending.append(chunk_index)
-
-            pending = next_pending
-            if broken or hung:
-                self._recycle_pool()
-            if pending and round_number <= self.retry_attempts:
-                retries_used += len(pending)
-                delay = self._retry_delay(round_number, salt=len(pending))
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline - monotonic()))
-                if delay > 0.0:
-                    time.sleep(delay)
+        rounds = self._run_rounds(
+            submit,
+            len(chunks),
+            task_timeout=self.task_timeout_seconds,
+            deadline=deadline,
+        )
 
         # Process-side rounds are over; whatever is left goes to the calling
         # thread (hedged hung chunks first, then retry-exhausted ones).
         leftover_positions = [
-            entry[0] for ci in hedged + pending for entry in chunks[ci]
+            entry[0] for ci in rounds.hedged + rounds.pending for entry in chunks[ci]
         ]
         redispatched: list[tuple[int, PartialAggregation]] = []
-        surrendered_positions: list[int] = []
-        if leftover_positions:
-            if self.thread_redispatch and executor is not None:
-                for pos in leftover_positions:
-                    if deadline is not None and monotonic() >= deadline:
-                        surrendered_positions.append(pos)
-                        continue
-                    started = monotonic()
-                    try:
-                        partial = executor.partial_aggregate_partition(
-                            plan, partitions[pos], sink=sink
-                        )
-                    except Exception as exc:
-                        fault_note = fault_note or f"{type(exc).__name__}: {exc}"
-                        surrendered_positions.append(pos)
-                        continue
-                    block = partitions[pos].block
-                    trace_span.record_span(
-                        "partition",
-                        started,
-                        monotonic(),
-                        rows=block.row_end - block.row_start,
-                        backend="thread-redispatch",
+        if leftover_positions and self.thread_redispatch and executor is not None:
+            for pos in leftover_positions:
+                if deadline is not None and monotonic() >= deadline:
+                    continue
+                started = monotonic()
+                try:
+                    partial = executor.partial_aggregate_partition(
+                        plan, partitions[pos], sink=sink
                     )
-                    redispatched.append((pos, partial))
-            else:
-                surrendered_positions = list(leftover_positions)
+                except Exception as exc:
+                    rounds.fail(exc)
+                    continue
+                block = partitions[pos].block
+                trace_span.record_span(
+                    "partition",
+                    started,
+                    monotonic(),
+                    rows=block.row_end - block.row_start,
+                    backend="thread-redispatch",
+                )
+                redispatched.append((pos, partial))
 
         gather_end = monotonic()
         partials: list[PartialAggregation | None] = [None] * total
         shipped = 0
-        for result in results:
+        for result in rounds.results.values():
             for pos, blob in result["partials"]:
                 shipped += len(blob)
                 partials[pos] = PartialAggregation.from_bytes(blob)
@@ -725,75 +752,68 @@ class ProcessPartitionPool:
 
         with self._lock:
             self._queries += 1
-            self._tasks += tasks_submitted
+            self._tasks += rounds.tasks
             self._partials_shipped += total - surrendered
             self._bytes_shipped_total += shipped
             self._bytes_shipped_last = shipped
-            self._retries += retries_used
-            self._hedges += hedges
+            self._retries += rounds.retries
+            self._hedges += len(rounds.hedged)
             self._surrendered += surrendered
             self._thread_redispatches += len(redispatched)
-            respawns_delta = self._respawns - respawns_before
+            respawns = self._respawns - respawns_before
 
-        report.update(
-            {
-                "retries": retries_used,
-                "hedges": hedges,
-                "respawns": respawns_delta,
-                "thread_redispatches": len(redispatched),
-                "surrendered": surrendered,
-            }
-        )
-        if fault_note is not None:
-            report["fault"] = fault_note
+        if rounds.fault is not None:
             self.breaker.record_failure()
         else:
             self.breaker.record_success()
         if surrendered == total:
             # Nothing computed at all — wholesale fallback is strictly
             # better than an all-holes answer.
-            self.record_fallback(fault_note or "no partitions computed")
-            return None
-        return partials
+            return self._decline(rounds.fault or "no partitions computed")
+        info: dict[str, Any] = {
+            "backend": "processes",
+            "retries": rounds.retries,
+            "hedges": len(rounds.hedged),
+            "respawns": respawns,
+            "thread_redispatches": len(redispatched),
+            "surrendered": surrendered,
+        }
+        if rounds.fault is not None:
+            info["fault"] = rounds.fault
+        return partials, info
 
     def map_calls(
-        self,
-        fn: Callable[..., Any],
-        argses: Iterable[tuple],
-        *,
-        timeout: float | None = None,
+        self, fn: Callable[..., Any], argses: Iterable[tuple]
     ) -> list[Any] | None:
         """Run ``fn(*args)`` per tuple on the pool; ``None`` → run inline.
 
         ``fn`` must be a module-level function (pickled by reference); its
         arguments typically include a :class:`SharedTableHandle` so the
         worker reads its O(rows) input from shared memory.  Used by sample
-        builds and ingest maintenance.  A broken pool is recycled, not
-        retired — the caller recomputes inline this time, the next call
-        respawns.
+        builds and ingest maintenance.  The calls heal in the same rounds as
+        :meth:`map_partitions` (respawn, retry, backoff) but carry no task
+        deadline; when any call is still unfinished after the last round the
+        whole batch returns ``None`` and the caller recomputes it inline.
         """
         calls = list(argses)
         if not calls:
             return []
         if not self.available:
             return None
-        pool = self._ensure_pool()
-        if pool is None:
-            return None
-        futures: list[Future] = []
-        try:
-            futures = [pool.submit(fn, *args) for args in calls]
-            out = [future.result(timeout=timeout) for future in futures]
-        except Exception as exc:
-            for future in futures:
-                future.cancel()
-            if isinstance(exc, (BrokenProcessPool, FuturesTimeoutError)):
-                self._recycle_pool()
-            self.record_fallback(f"map_calls: {type(exc).__name__}")
-            return None
+        rounds = self._run_rounds(
+            lambda pool, index: pool.submit(fn, *calls[index]),
+            len(calls),
+            task_timeout=None,
+            deadline=None,
+        )
         with self._lock:
-            self._tasks += len(calls)
-        return out
+            self._tasks += rounds.tasks
+            self._retries += rounds.retries
+        if rounds.pending or rounds.hedged:
+            if rounds.error is not None:
+                self._record_fallback(f"map_calls: {rounds.error}")
+            return None
+        return [rounds.results[index] for index in range(len(calls))]
 
     # -- observability / lifecycle -------------------------------------------------
     def stats(self) -> dict[str, int]:
@@ -803,11 +823,7 @@ class ProcessPartitionPool:
             out = {
                 "workers": self.max_workers,
                 "started": int(self._pool is not None),
-                "available": int(
-                    not self._closed
-                    and self._failure is None
-                    and shm.shared_memory_available()
-                ),
+                "available": int(self.available),
                 "queries": self._queries,
                 "tasks": self._tasks,
                 "partials_shipped": self._partials_shipped,
@@ -869,79 +885,3 @@ class ProcessPartitionPool:
             self.close()
         except Exception:
             pass
-
-
-class ProcessBackend:
-    """One query-path binding of (pool, exported table) for the pipeline seam.
-
-    The pipeline duck-types on :meth:`map_partitions`; a ``None`` return
-    means "use my ``fallback``" (the runtime's thread pool, or inline).
-    Plans with dimension joins always decline — workers hold no dimension
-    tables, and broadcast-joining them per query would break the zero-copy
-    contract.  Every decline records *why* (``last_fallback_reason``, pool
-    fallback counters), and the per-call healing accounting lands in
-    ``last_health`` for the pipeline to surface in ``metadata``.
-    """
-
-    name = "processes"
-
-    def __init__(
-        self,
-        pool: ProcessPartitionPool,
-        handle: shm.SharedTableHandle,
-        *,
-        executor: QueryExecutor | None = None,
-        fallback: Executor | None = None,
-    ) -> None:
-        self.pool = pool
-        self.handle = handle
-        self.executor = executor
-        self.fallback = fallback
-        #: Wall-clock deadline (``monotonic()`` scale) set by the service /
-        #: runtime from the query's admission deadline; converted into
-        #: ``map_partitions(timeout=...)`` so a hung worker can't hold a
-        #: WITHIN-bounded query past its bound.
-        self.deadline: float | None = None
-        self.last_fallback_reason: str | None = None
-        self.last_health: dict[str, Any] = {}
-
-    def map_partitions(
-        self,
-        plan: LogicalPlan,
-        partitions: Sequence[TablePartition],
-        *,
-        sink: ScanSink | None = None,
-        trace_span: AnySpan = NULL_SPAN,
-    ) -> list[PartialAggregation | None] | None:
-        self.last_health = {}
-        if plan.joins:
-            self.last_fallback_reason = "joins"
-            self.pool.record_fallback("joins")
-            return None
-        if partitions and partitions[0].source.num_rows != self.handle.num_rows:
-            # Stale handle: table changed under us — fall back.
-            self.last_fallback_reason = "stale_handle"
-            self.pool.record_fallback("stale_handle")
-            return None
-        timeout = None
-        if self.deadline is not None:
-            timeout = max(0.0, self.deadline - monotonic())
-        health: dict[str, Any] = {}
-        shipped = self.pool.map_partitions(
-            plan,
-            self.handle,
-            partitions,
-            sink=sink,
-            executor=self.executor,
-            trace_span=trace_span,
-            timeout=timeout,
-            health=health,
-        )
-        self.last_health = health
-        if shipped is None:
-            self.last_fallback_reason = (
-                health.get("fault") or self.pool.fallback_reason or "pool declined"
-            )
-        else:
-            self.last_fallback_reason = None
-        return shipped

@@ -14,6 +14,8 @@ each test's own ``max_examples`` by :data:`EXPLORE_EXAMPLE_FACTOR`.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -50,6 +52,42 @@ def pytest_collection_modifyitems(items: list[pytest.Item]) -> None:
             test._hypothesis_internal_use_settings = settings(
                 own, max_examples=own.max_examples * EXPLORE_EXAMPLE_FACTOR
             )
+
+
+class SegmentLedger:
+    """Names of the shared-memory segments one test exported."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+
+    def assert_unlinked(self) -> None:
+        """Fail unless every recorded segment has been unlinked again."""
+        assert self.names, "the test exported no segment, so checks no leak"
+        linked = [n for n in self.names if os.path.exists(os.path.join("/dev/shm", n))]
+        assert not linked, f"shared-memory segments still linked: {linked}"
+
+
+@pytest.fixture
+def exported_segments(monkeypatch: pytest.MonkeyPatch) -> SegmentLedger:
+    """Record every segment this process exports while the test runs.
+
+    Wraps :func:`repro.storage.shm.export_table`, where the parent creates
+    every table segment, so a leak check looks only at the test's own
+    segments and not at what other processes on the host keep in
+    ``/dev/shm``.
+    """
+    from repro.storage import shm
+
+    ledger = SegmentLedger()
+    export_table = shm.export_table
+
+    def recording(*args, **kwargs):
+        export = export_table(*args, **kwargs)
+        ledger.names.append(export.handle.segment)
+        return export
+
+    monkeypatch.setattr(shm, "export_table", recording)
+    return ledger
 
 
 @pytest.fixture(scope="session")

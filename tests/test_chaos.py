@@ -13,6 +13,7 @@ run of this suite replays the identical campaign.
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import time
@@ -21,6 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.common.clock import monotonic
 from repro.common.config import BlinkDBConfig, ClusterConfig, SamplingConfig
 from repro.engine.executor import QueryExecutor
 from repro.engine.kernels import ScanSink
@@ -34,21 +36,6 @@ from repro.storage.table import Table
 pytestmark = pytest.mark.skipif(
     not shm.shared_memory_available(), reason="POSIX shared memory unavailable"
 )
-
-
-def _shm_entries() -> set[str]:
-    """Table segments (``psm_*``) currently linked in ``/dev/shm``.
-
-    ``sem.mp-*`` entries are the executors' multiprocessing semaphores —
-    after an unclean teardown they linger until the resource tracker reaps
-    them at interpreter exit, so the *segment* leak contract (the parent
-    owns every unlink) is checked on the segments alone.  CI's repo-wide
-    ``/dev/shm`` check runs after the interpreter exits and sees both.
-    """
-    try:
-        return {e for e in os.listdir("/dev/shm") if e.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
 
 
 def _random_table(seed: int, rows: int = 6_000, name: str = "t"):
@@ -114,33 +101,29 @@ class TestPoolHealing:
         executor = QueryExecutor()
         parts = table.partitions(weights=weights, num_partitions=partitions)
         epoch = pool.new_epoch()
-        health: dict = {}
         try:
-            handle = pool.ensure_export(epoch, "chaos", table, weights)
-            assert handle is not None
+            assert pool.ensure_export(epoch, "chaos", table, weights) is not None
+            call = functools.partial(
+                pool.map_partitions, query, parts, epoch=epoch, key="chaos",
+                table=table, weights=weights, sink=ScanSink(), executor=executor,
+                deadline=None if timeout is None else monotonic() + timeout,
+            )
             if plan_spec is None:
-                shipped = pool.map_partitions(
-                    query, handle, parts, sink=ScanSink(), executor=executor,
-                    timeout=timeout, health=health,
-                )
+                shipped, info = call()
             else:
                 with injector_mod.installed(FaultPlan.parse(plan_spec, seed=seed)):
-                    shipped = pool.map_partitions(
-                        query, handle, parts, sink=ScanSink(), executor=executor,
-                        timeout=timeout, health=health,
-                    )
+                    shipped, info = call()
         finally:
             pool.release_epoch(epoch)
         serial = [executor.partial_aggregate_partition(query, p) for p in parts]
         expected = _finalize(executor, query, serial, table, weights)
-        return shipped, expected, health, (executor, query, table, weights)
+        return shipped, expected, info, (executor, query, table, weights)
 
-    def test_worker_crash_is_respawned_and_retried(self):
-        before = _shm_entries()
+    def test_worker_crash_is_respawned_and_retried(self, exported_segments):
         pool = _healing_pool(retry_attempts=2, task_timeout_seconds=10.0)
         try:
             assert pool.warm()
-            shipped, expected, health, ctx = self._run(
+            shipped, expected, info, ctx = self._run(
                 pool, "procpool.worker_crash:once"
             )
             assert shipped is not None and all(p is not None for p in shipped)
@@ -148,16 +131,16 @@ class TestPoolHealing:
             _assert_bit_identical(
                 _finalize(executor, query, shipped, table, weights), expected
             )
-            assert health["respawns"] >= 1
-            assert health["retries"] >= 1
-            assert "fault" in health
+            assert info["respawns"] >= 1
+            assert info["retries"] >= 1
+            assert "fault" in info
             # The pool healed: a clean query runs with zero healing activity.
-            shipped, expected, health, ctx = self._run(pool, None)
+            shipped, expected, info, ctx = self._run(pool, None)
             assert shipped is not None
-            assert health["retries"] == 0 and health["respawns"] == 0
+            assert info["retries"] == 0 and info["respawns"] == 0
         finally:
             pool.close()
-        assert _shm_entries() == before
+        exported_segments.assert_unlinked()
 
     def test_sigkilled_idle_worker_heals(self):
         pool = _healing_pool(retry_attempts=2, task_timeout_seconds=10.0)
@@ -167,21 +150,55 @@ class TestPoolHealing:
             assert pids
             os.kill(pids[0], signal.SIGKILL)
             time.sleep(0.1)
-            shipped, expected, health, ctx = self._run(pool, None)
+            shipped, expected, info, ctx = self._run(pool, None)
             assert shipped is not None and all(p is not None for p in shipped)
             executor, query, table, weights = ctx
             _assert_bit_identical(
                 _finalize(executor, query, shipped, table, weights), expected
             )
+            # Whether the dead worker surfaced at submit or at gather, the
+            # pool was respawned and the workers, not the calling thread,
+            # computed every chunk.
+            assert info["respawns"] >= 1
+            assert info["thread_redispatches"] == 0
             assert pool.available
         finally:
+            pool.close()
+
+    def test_sigkilled_worker_heals_inside_map_calls(self):
+        from repro.runtime.procpool import stratum_permutations_task
+        from repro.sampling.stratified import stratum_permutations
+
+        table, _ = _random_table(59, rows=2_000)
+        column_sets = [("g",), ("g", "f"), ("f",)]
+        pool = _healing_pool(retry_attempts=2)
+        epoch = pool.new_epoch()
+        try:
+            assert pool.warm()
+            handle = pool.ensure_export(epoch, "perm", table)
+            os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            time.sleep(0.1)
+            results = pool.map_calls(
+                stratum_permutations_task, [(handle, cols) for cols in column_sets]
+            )
+            # The broken round respawned the pool and the next round finished
+            # every call: no inline fallback was needed.
+            assert results is not None
+            assert pool.stats()["respawns"] >= 1
+            for columns, shipped in zip(column_sets, results):
+                inline = stratum_permutations(table, columns)
+                assert len(inline) == len(shipped)
+                for a, b in zip(inline, shipped):
+                    np.testing.assert_array_equal(a, b)
+        finally:
+            pool.release_epoch(epoch)
             pool.close()
 
     def test_hung_worker_is_hedged_to_the_thread_path(self):
         pool = _healing_pool(retry_attempts=1, task_timeout_seconds=0.3)
         try:
             assert pool.warm()
-            shipped, expected, health, ctx = self._run(
+            shipped, expected, info, ctx = self._run(
                 pool, "procpool.worker_hang:once,latency=5.0"
             )
             assert shipped is not None and all(p is not None for p in shipped)
@@ -189,8 +206,8 @@ class TestPoolHealing:
             _assert_bit_identical(
                 _finalize(executor, query, shipped, table, weights), expected
             )
-            assert health["hedges"] >= 1
-            assert health["thread_redispatches"] >= 1
+            assert info["hedges"] >= 1
+            assert info["thread_redispatches"] >= 1
         finally:
             pool.close()
 
@@ -198,15 +215,15 @@ class TestPoolHealing:
         pool = _healing_pool(retry_attempts=0, thread_redispatch=False)
         try:
             assert pool.warm()
-            shipped, expected, health, ctx = self._run(
+            shipped, expected, info, ctx = self._run(
                 pool, "shm.attach_fail:nth=1"
             )
             # One chunk's partitions come back as explicit None holes; the
             # other chunk's results are still bitwise-correct partials.
             assert shipped is not None
-            assert health["surrendered"] > 0
+            assert info["surrendered"] > 0
             assert 0 < sum(1 for p in shipped if p is None) < len(shipped)
-            assert "fault" in health
+            assert "fault" in info
         finally:
             pool.close()
 
@@ -216,16 +233,17 @@ class TestPoolHealing:
         )
         try:
             assert pool.warm()
-            shipped, _, health, _ = self._run(
+            shipped, _, info, _ = self._run(
                 pool, "procpool.worker_hang:latency=30.0", timeout=0.5
             )
             # Every chunk hung and nothing could be computed: the 0.5s call
             # deadline, not the 30s the workers sleep, ended the wait, and
             # every partition was surrendered to a wholesale fallback.
             assert shipped is None
-            assert health["surrendered"] == 6
-            assert "deadline exceeded" in health["fault"]
-            assert pool.last_fallback_reason == health["fault"]
+            stats = pool.stats()
+            assert stats["surrendered"] == 6
+            assert "deadline exceeded" in info["fallback_reason"]
+            assert stats["fallbacks.worker_hang:_task_deadline_exceeded"] == 1
         finally:
             pool.close()
 
@@ -243,11 +261,14 @@ class TestPoolHealing:
                     shipped, *_ = self._run(pool, None)
                     assert shipped is None  # every chunk failed
             assert pool.breaker.state == "open"
-            assert not pool.admit(), "open breaker refuses process admission"
+            shipped, _, info, _ = self._run(pool, None)
+            assert shipped is None, "open breaker refuses process admission"
+            assert info == {"fallback_reason": "breaker_open"}
             assert pool.stats()["fallbacks.breaker_open"] >= 1
             time.sleep(0.25)
-            assert pool.admit(), "cooldown elapsed: one probe query admitted"
-            shipped, expected, health, ctx = self._run(pool, None)
+            # Cooldown elapsed: the next query is admitted as the one probe,
+            # and its success closes the breaker.
+            shipped, expected, info, ctx = self._run(pool, None)
             assert shipped is not None
             assert pool.breaker.state == "closed"
             stats = pool.stats()
@@ -340,8 +361,7 @@ class TestFacadeChaos:
             assert result.metadata["backend_info"]["backend"] in ("threads", "inline")
             assert "fallback_reason" in result.metadata["backend_info"]
 
-    def test_sigkilled_workers_leak_nothing_on_close(self):
-        before = _shm_entries()
+    def test_sigkilled_workers_leak_nothing_on_close(self, exported_segments):
         db = _build_db("processes")
         try:
             result = db.runtime.execute_partitioned(
@@ -357,7 +377,8 @@ class TestFacadeChaos:
         finally:
             db.close()
             db.close()  # idempotent
-        assert _shm_entries() == before, "SIGKILLed workers must not leak segments"
+        # SIGKILLed workers must not leak segments.
+        exported_segments.assert_unlinked()
 
     def test_breaker_fallback_reason_reaches_metadata_and_metrics(self):
         with _build_db(
@@ -382,11 +403,11 @@ class TestFacadeChaos:
             info = result.metadata["backend_info"]
             assert info["backend"] in ("threads", "inline")
             assert info["fallback_reason"] == "breaker_open"
-            gauges = db.metrics()["faults"]
+            gauges = db.metrics()["procpool"]
             series = {s["labels"]["name"]: s["value"] for s in gauges["series"]}
-            assert series["procpool.breaker_trips"] == 1
-            assert series["procpool.breaker_state"] == 2  # open
-            assert series["procpool.fallbacks.breaker_open"] >= 1
+            assert series["breaker_trips"] == 1
+            assert series["breaker_state"] == 2  # open
+            assert series["fallbacks.breaker_open"] >= 1
 
     def test_single_partition_declines_to_identical_thread_answer(self):
         with _build_db("processes") as db_p, _build_db("threads") as db_t:
@@ -419,8 +440,9 @@ CHAOS_QUERIES = [
 
 class TestChaosCampaigns:
     @pytest.mark.parametrize("seed", [11, 23, 47])
-    def test_seeded_campaign_is_bit_identical_or_explicitly_degraded(self, seed):
-        before = _shm_entries()
+    def test_seeded_campaign_is_bit_identical_or_explicitly_degraded(
+        self, seed, exported_segments
+    ):
         with _build_db("processes") as chaos_db, _build_db("threads") as twin_db:
             expected = {
                 sql: twin_db.runtime.execute_partitioned(
@@ -447,7 +469,8 @@ class TestChaosCampaigns:
             _assert_bit_identical(after.groups, expected[CHAOS_QUERIES[0]].groups)
             pool = chaos_db._partition_procpool()
             assert pool is not None and pool.available
-        assert _shm_entries() == before, "chaos campaign must not leak /dev/shm"
+        # The chaos campaign must not leak /dev/shm.
+        exported_segments.assert_unlinked()
 
 
 # -- wire-level chaos ----------------------------------------------------------------

@@ -263,7 +263,7 @@ class TestTraceSampling:
         from repro.obs.observability import Observability
 
         config = dataclasses.replace(
-            blinkdb_conviva.config, tracing_enabled=True, trace_sample_rate=0.25
+            blinkdb_conviva.config, trace_sample_rate=0.25
         )
         obs = Observability(config)
         sampled = [obs.tracer.begin().sampled for _ in range(8)]
@@ -277,7 +277,7 @@ class TestTraceSampling:
         config = BlinkDBConfig(
             sampling=SamplingConfig(largest_cap=80, min_cap=10, uniform_sample_fraction=0.1),
             cluster=ClusterConfig(num_nodes=20),
-            tracing_enabled=False,
+            trace_sample_rate=0.0,
         )
         db = BlinkDB(config)
         db.load_table(sessions_table, simulated_rows=20_000_000)

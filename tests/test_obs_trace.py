@@ -116,30 +116,31 @@ class TestNullObjects:
 
 class TestSpanTracer:
     def test_disabled_tracer_returns_null_trace(self):
-        tracer = SpanTracer(enabled=False, sample_rate=1.0, clock=ManualClock())
-        assert tracer.begin() is NULL_TRACE
+        tracer = SpanTracer(sample_rate=0.0, clock=ManualClock())
+        assert all(tracer.begin() is NULL_TRACE for _ in range(10))
+        assert tracer.stats == {"traces_started": 10, "traces_sampled": 0}
 
     def test_force_overrides_sampling(self):
-        tracer = SpanTracer(enabled=True, sample_rate=0.0, clock=ManualClock())
+        tracer = SpanTracer(sample_rate=0.0, clock=ManualClock())
         assert tracer.begin() is NULL_TRACE
         assert tracer.begin(force=True).sampled
 
     def test_credit_accumulator_is_deterministic(self):
-        tracer = SpanTracer(enabled=True, sample_rate=0.25, clock=ManualClock())
+        tracer = SpanTracer(sample_rate=0.25, clock=ManualClock())
         sampled = [tracer.begin().sampled for _ in range(100)]
         # Exactly one in four, evenly spaced — not a coin flip.
         assert sum(sampled) == 25
         assert sampled[:8] == [False, False, False, True] * 2
 
     def test_new_rate_starts_a_new_schedule(self):
-        tracer = SpanTracer(enabled=True, sample_rate=1.0, clock=ManualClock())
+        tracer = SpanTracer(sample_rate=1.0, clock=ManualClock())
         assert all(tracer.begin().sampled for _ in range(100))
         tracer.sample_rate = 0.5
         sampled = [tracer.begin().sampled for _ in range(10)]
         assert sampled == [False, True] * 5
 
     def test_stats_count_started_and_sampled(self):
-        tracer = SpanTracer(enabled=True, sample_rate=0.5, clock=ManualClock())
+        tracer = SpanTracer(sample_rate=0.5, clock=ManualClock())
         for _ in range(10):
             tracer.begin()
         stats = tracer.stats
@@ -230,6 +231,6 @@ def test_property_fanout_spans_join_across_threads(fanout):
 def test_property_sampling_credit_accumulator_hits_ceil(rate, n):
     import math
 
-    tracer = SpanTracer(enabled=True, sample_rate=rate, clock=ManualClock())
+    tracer = SpanTracer(sample_rate=rate, clock=ManualClock())
     sampled = sum(tracer.begin().sampled for _ in range(n))
     assert sampled == math.ceil(round(rate * n, 9)) or sampled == math.floor(rate * n)

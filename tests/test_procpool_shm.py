@@ -27,11 +27,7 @@ from repro.common.config import BlinkDBConfig, ClusterConfig, SamplingConfig
 from repro.common.rng import make_rng
 from repro.engine.executor import QueryExecutor
 from repro.engine.kernels import ScanSink
-from repro.runtime.procpool import (
-    ProcessBackend,
-    ProcessPartitionPool,
-    stratum_permutations_task,
-)
+from repro.runtime.procpool import ProcessPartitionPool, stratum_permutations_task
 from repro.sql.parser import parse_query
 from repro.storage import shm
 from repro.storage.encodings import encode_table
@@ -40,13 +36,6 @@ from repro.storage.table import Table
 pytestmark = pytest.mark.skipif(
     not shm.shared_memory_available(), reason="POSIX shared memory unavailable"
 )
-
-
-def _shm_entries() -> set[str]:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
 
 
 def _random_table(seed: int, rows: int = 6_000, name: str = "t") -> tuple[Table, np.ndarray]:
@@ -76,11 +65,10 @@ def pool():
 
 class TestShmRoundTrip:
     @pytest.mark.parametrize("encoded", [False, True], ids=["plain", "encoded"])
-    def test_export_attach_round_trip(self, encoded):
+    def test_export_attach_round_trip(self, encoded, exported_segments):
         table, weights = _random_table(29)
         if encoded:
             table = encode_table(table, block_rows=512)
-        before = _shm_entries()
         export = shm.export_table(table, weights)
         attached = shm.attach_table(export.handle)
         try:
@@ -94,7 +82,7 @@ class TestShmRoundTrip:
         finally:
             attached.close()
             export.close()
-        assert _shm_entries() == before
+        exported_segments.assert_unlinked()
 
     def test_attach_close_never_unlinks(self):
         table, _ = _random_table(31, rows=500)
@@ -107,13 +95,12 @@ class TestShmRoundTrip:
         again.close()
         export.close()
 
-    def test_export_close_is_idempotent(self):
+    def test_export_close_is_idempotent(self, exported_segments):
         table, _ = _random_table(37, rows=200)
-        before = _shm_entries()
         export = shm.export_table(table)
         export.close()
         export.close()
-        assert _shm_entries() == before
+        exported_segments.assert_unlinked()
 
 
 # -- the worker pool ----------------------------------------------------------------
@@ -148,12 +135,12 @@ class TestProcessPartitionPool:
         partitions = table.partitions(weights=weights, num_partitions=6)
         epoch = pool.new_epoch()
         try:
-            handle = pool.ensure_export(epoch, "test", table, weights)
-            assert handle is not None
-            shipped = pool.map_partitions(
-                query, handle, partitions, sink=ScanSink(), executor=executor
+            shipped, info = pool.map_partitions(
+                query, partitions, epoch=epoch, key="test", table=table,
+                weights=weights, sink=ScanSink(), executor=executor,
             )
             assert shipped is not None and len(shipped) == len(partitions)
+            assert info["backend"] == "processes"
         finally:
             pool.release_epoch(epoch)
         serial = [executor.partial_aggregate_partition(query, p) for p in partitions]
@@ -181,8 +168,10 @@ class TestProcessPartitionPool:
         epoch = pool.new_epoch()
         before = pool.stats()
         try:
-            handle = pool.ensure_export(epoch, "compact", table, weights)
-            shipped = pool.map_partitions(query, handle, partitions, sink=ScanSink())
+            shipped, _ = pool.map_partitions(
+                query, partitions, epoch=epoch, key="compact", table=table,
+                weights=weights, sink=ScanSink(),
+            )
             assert shipped is not None
         finally:
             pool.release_epoch(epoch)
@@ -195,9 +184,8 @@ class TestProcessPartitionPool:
         assert 0 < shipped_bytes < 4 * 6 * 4 * 512
         assert shipped_bytes < table.num_rows * 3 * 8 // 4
 
-    def test_ensure_export_is_idempotent_and_epoch_fenced(self, pool):
+    def test_ensure_export_is_idempotent_and_epoch_fenced(self, pool, exported_segments):
         table, weights = _random_table(53, rows=400)
-        before = _shm_entries()
         epoch = pool.new_epoch()
         h1 = pool.ensure_export(epoch, "k", table, weights)
         h2 = pool.ensure_export(epoch, "k", table, weights)
@@ -205,7 +193,8 @@ class TestProcessPartitionPool:
         assert pool.stats()["segments_active"] >= 1
         pool.release_epoch(epoch)
         pool.release_epoch(epoch)  # idempotent
-        assert _shm_entries() == before
+        assert exported_segments.names == [h1.segment]
+        exported_segments.assert_unlinked()
 
     def test_map_calls_matches_inline(self, pool):
         from repro.sampling.stratified import stratum_permutations
@@ -226,23 +215,39 @@ class TestProcessPartitionPool:
             for a, b in zip(inline, shipped):
                 np.testing.assert_array_equal(a, b)
 
-    def test_backend_declines_joins_and_stale_handles(self, pool):
+    def test_map_partitions_declines_joins_and_stale_handles(self, pool):
         table, weights = _random_table(61, rows=1_000)
         query = parse_query(POOL_SQL)
         partitions = table.partitions(weights=weights, num_partitions=2)
         epoch = pool.new_epoch()
+        export = {"epoch": epoch, "key": "decline", "table": table, "weights": weights}
         try:
-            handle = pool.ensure_export(epoch, "decline", table, weights)
-            backend = ProcessBackend(pool, handle)
 
             class _Joined:
                 joins = ({"table": "dim"},)
 
-            assert backend.map_partitions(_Joined(), partitions) is None
+            before = pool.stats()
+            assert pool.map_partitions(_Joined(), partitions, **export) == (
+                None,
+                {"fallback_reason": "joins"},
+            )
+            assert pool.map_partitions(query, partitions[:1], **export) == (
+                None,
+                {"fallback_reason": "single_partition"},
+            )
             grown, grown_weights = _random_table(61, rows=1_500)
             stale = grown.partitions(weights=grown_weights, num_partitions=2)
-            assert backend.map_partitions(query, stale) is None
-            assert backend.map_partitions(query, partitions) is not None
+            assert pool.map_partitions(query, stale, **export) == (
+                None,
+                {"fallback_reason": "stale_handle"},
+            )
+            shipped, info = pool.map_partitions(query, partitions, **export)
+            assert shipped is not None and info["backend"] == "processes"
+            after = pool.stats()
+            for slug in ("joins", "stale_handle"):
+                key = f"fallbacks.{slug}"
+                assert after[key] == before.get(key, 0) + 1, slug
+            assert "fallbacks.single_partition" not in after
         finally:
             pool.release_epoch(epoch)
 
@@ -286,7 +291,7 @@ class TestConfigValidation:
 # -- the facade ---------------------------------------------------------------------
 
 
-def _build_db(backend: str):
+def _build_db(backend: str, **overrides):
     from repro.core.blinkdb import BlinkDB
     from repro.workloads.conviva import conviva_query_templates, generate_sessions_table
 
@@ -301,6 +306,7 @@ def _build_db(backend: str):
             cluster=ClusterConfig(num_nodes=8),
             execution_backend=backend,
             procpool_workers=2 if backend == "processes" else 0,
+            **overrides,
         )
         db = BlinkDB(config)
     db.load_table(table, simulated_rows=100_000_000)
@@ -310,8 +316,7 @@ def _build_db(backend: str):
 
 
 class TestFacadeProcessBackend:
-    def test_backends_agree_and_close_cleanly(self):
-        before = _shm_entries()
+    def test_backends_agree_and_close_cleanly(self, exported_segments):
         sql = "SELECT COUNT(*), AVG(session_time) FROM sessions GROUP BY city"
         results = {}
         dbs = {}
@@ -340,12 +345,131 @@ class TestFacadeProcessBackend:
             for db in dbs.values():
                 db.close()
                 db.close()  # idempotent
-        assert _shm_entries() == before
+        exported_segments.assert_unlinked()
 
-    def test_context_manager_tears_down(self):
-        before = _shm_entries()
+    def test_context_manager_tears_down(self, exported_segments):
         with _build_db("processes") as db:
             result = db.query("SELECT AVG(session_time) FROM sessions WITHIN 2 SECONDS")
             assert result is not None
+            # A partitioned query exports a segment for close() to unlink.
+            partitioned = db.runtime.execute_partitioned(
+                ROUTE_SQL, num_partitions=4, sim_workers=2
+            )
+            assert partitioned.metadata["backend_info"]["backend"] == "processes"
         assert db._closed
-        assert _shm_entries() == before
+        exported_segments.assert_unlinked()
+
+
+# -- backend routes at the facade -----------------------------------------------------
+
+ROUTE_SQL = "SELECT COUNT(*), AVG(session_time) FROM sessions GROUP BY city"
+
+
+def _route_info(db, sql: str = ROUTE_SQL, num_partitions: int = 6) -> dict:
+    """``backend_info`` of one partitioned facade query, segment names masked."""
+    import re
+
+    result = db.runtime.execute_partitioned(
+        sql, num_partitions=num_partitions, sim_workers=3
+    )
+    info = dict(result.metadata["backend_info"])
+    for key, value in info.items():
+        if isinstance(value, str):
+            info[key] = re.sub(r"'psm_\w+'", "'<segment>'", value)
+    return info
+
+
+class TestBackendRoutes:
+    """Every route a partitioned query can take, pinned by its ``backend_info``."""
+
+    def test_each_route_reports_its_backend_info(self, monkeypatch):
+        from repro.faults import FaultPlan
+        from repro.faults import injector as injector_mod
+
+        db = _build_db(
+            "processes",
+            procpool_retry_attempts=0,
+            procpool_retry_backoff_seconds=0.01,
+            procpool_breaker_threshold=2,
+            procpool_breaker_cooldown_seconds=60.0,
+        )
+        with db:
+            cities = sorted({str(c) for c in db.catalog.table("sessions").column("city").values()})
+            db.load_dimension_table(
+                Table.from_dict(
+                    "regions",
+                    {"city": cities, "region": [f"r{i % 3}" for i in range(len(cities))]},
+                )
+            )
+            pool = db._partition_procpool()
+            pool.thread_redispatch = False
+            routes = {}
+            routes["joins"] = _route_info(
+                db, "SELECT COUNT(*) FROM sessions JOIN regions ON city = city GROUP BY region"
+            )
+            with monkeypatch.context() as patch:
+
+                def refuse(*args, **kwargs):
+                    raise OSError("no space left on device")
+
+                patch.setattr(shm, "export_table", refuse)
+                routes["export_failed"] = _route_info(db)
+            routes["single_partition"] = _route_info(db, num_partitions=1)
+            routes["processes"] = _route_info(db)
+            with injector_mod.installed(FaultPlan.parse("shm.attach_fail")):
+                routes["every_chunk_failed"] = _route_info(db)
+                routes["every_chunk_failed_again"] = _route_info(db)
+            routes["breaker_open"] = _route_info(db)
+            stats = pool.stats()
+
+        attach_fault = (
+            "FaultInjectedError: injected fault at shm.attach_fail "
+            "(worker attach of '<segment>')"
+        )
+        assert routes == {
+            "joins": {"backend": "threads", "fallback_reason": "joins"},
+            "export_failed": {
+                "backend": "threads",
+                "fallback_reason": "export_failed: OSError",
+            },
+            "single_partition": {"backend": "inline", "fallback_reason": "single_partition"},
+            "processes": {
+                "backend": "processes",
+                "retries": 0,
+                "hedges": 0,
+                "respawns": 0,
+                "thread_redispatches": 0,
+                "surrendered": 0,
+            },
+            "every_chunk_failed": {"backend": "threads", "fallback_reason": attach_fault},
+            "every_chunk_failed_again": {
+                "backend": "threads",
+                "fallback_reason": attach_fault,
+            },
+            "breaker_open": {"backend": "threads", "fallback_reason": "breaker_open"},
+        }
+        # The pool's own gauges agree: one fallback counted per decline that
+        # reached the pool, and the breaker tripped by the two faulted queries.
+        assert {k: v for k, v in stats.items() if not k.startswith("bytes_")} == {
+            "workers": 2,
+            "started": 1,
+            "available": 1,
+            "queries": 3,
+            "tasks": 6,
+            "partials_shipped": 6,
+            "segments_exported": 1,
+            "segments_active": 1,
+            "retries": 0,
+            "respawns": 0,
+            "hedges": 0,
+            "surrendered": 12,
+            "thread_redispatches": 0,
+            "fallbacks.joins": 1,
+            "fallbacks.export_failed:_oserror": 1,
+            "fallbacks.faultinjectederror:_injected_fault_at_shm.attach_fail_(worker_at": 2,
+            "fallbacks.breaker_open": 1,
+            "breaker_state": 2,
+            "breaker_trips": 1,
+            "breaker_half_opens": 0,
+            "breaker_consecutive_failures": 2,
+        }
