@@ -49,7 +49,6 @@ import math
 import pickle
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -332,35 +331,56 @@ class ColumnFold:
 
     Each product is computed on first use and reused by the state's later
     terms (``AvgState`` needs the deviations for its value moments and its
-    centered moment); each is the float the per-state expression gave.
+    centered moment); each is the float the per-state expression gave.  The
+    products live in slots, filled on first access without the lock
+    ``functools.cached_property`` takes.
     """
+
+    __slots__ = ("array", "weights", "_center", "_deviations", "_squared", "_moments", "_sum_wx")
 
     def __init__(self, array: np.ndarray, weights: WeightFold) -> None:
         self.array = array
         self.weights = weights
+        self._center: float | None = None
+        self._deviations: np.ndarray | None = None
+        self._squared: np.ndarray | None = None
+        self._moments: ValueMoments | None = None
+        self._sum_wx: float | None = None
 
-    @cached_property
+    @property
     def center(self) -> float:
-        return float(self.array.mean())
+        if self._center is None:
+            self._center = float(self.array.mean())
+        return self._center
 
-    @cached_property
+    @property
     def deviations(self) -> np.ndarray:
-        return self.array - self.center
+        if self._deviations is None:
+            self._deviations = self.array - self.center
+        return self._deviations
 
-    @cached_property
+    @property
     def squared_deviations(self) -> np.ndarray:
-        return self.deviations**2
+        if self._squared is None:
+            self._squared = self.deviations**2
+        return self._squared
 
-    @cached_property
+    @property
     def moments(self) -> ValueMoments:
-        n = int(self.array.shape[0])
-        if n == 0:
-            return ValueMoments()
-        return ValueMoments(n=n, mean=self.center, m2=float(self.squared_deviations.sum()))
+        if self._moments is None:
+            n = int(self.array.shape[0])
+            self._moments = (
+                ValueMoments(n=n, mean=self.center, m2=float(self.squared_deviations.sum()))
+                if n
+                else ValueMoments()
+            )
+        return self._moments
 
-    @cached_property
+    @property
     def sum_wx(self) -> float:
-        return float((self.array * self.weights.array).sum())
+        if self._sum_wx is None:
+            self._sum_wx = float((self.array * self.weights.array).sum())
+        return self._sum_wx
 
     def centered(self, coeff: np.ndarray, total: float) -> _CenteredMoment:
         """The :class:`_CenteredMoment` of ``coeff`` (whose sum is ``total``)."""

@@ -19,15 +19,17 @@ per-query decision the runtime used to make inline:
 
 Probe memoization
 -----------------
-Probing runs the query on every family's smallest resolution, which
-previously happened on *each* unbounded query.  Probe results are
+Probing counts the query's matching rows on every family's smallest
+resolution and aggregates it on the chosen family's.  Both are
 deterministic given the plan (sans bound) and the resolution, so the
 planner's selector memoizes them keyed by
-``(plan.probe_fingerprint(), resolution.name)``.  The memo lives on the
-selector, whose lifetime is the runtime's; the facade discards the runtime
-whenever samples or data change (``build_samples`` / ``replan_samples`` /
-``load_table``), so a stale probe can never survive a data generation.
-Hit/miss counters surface through ``runtime.stats`` and the service metrics.
+``(plan.probe_fingerprint(), resolution.name, kind)``.  The memo lives on
+the selector, whose lifetime is the runtime's; the facade discards the
+runtime whenever samples or data are rebuilt (``build_samples`` /
+``replan_samples`` / ``load_table``) and fences the appended table's
+entries on every ``append``, so a stale count or probe can never survive a
+data generation.  Hit/miss counters surface through ``runtime.stats`` and
+the service metrics.
 """
 
 from __future__ import annotations

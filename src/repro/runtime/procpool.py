@@ -20,7 +20,7 @@ The pool is deliberately dumb about *what* it runs.  The runtime binds
 hands it to :class:`~repro.runtime.partitioned.PartitionPipeline` as its
 optional offload callable.  The call returns ``(partials or None,
 backend_info)``, and it alone decides every decline — a plan with joins, an
-unavailable pool, an open breaker, a failed export, a single partition, a
+unavailable pool, a single partition, an open breaker, a failed export, a
 stale handle, a fault that left nothing computed — naming the reason in
 ``backend_info["fallback_reason"]``.  On ``None`` the pipeline runs the
 partitions on its thread pool with identical semantics: the process backend
@@ -623,10 +623,10 @@ class ProcessPartitionPool:
         the query should run on threads instead, and ``backend_info`` then
         holds the one ``fallback_reason``; this method decides every such
         decline, in this order: ``joins`` (workers hold no dimension tables),
-        an unavailable pool, ``breaker_open``, ``export_failed: <error>``
-        (``table`` is exported under ``(epoch, key)`` once per epoch),
-        ``single_partition``, ``stale_handle``, and finally a fault that left
-        nothing computed.
+        an unavailable pool, ``single_partition``, ``breaker_open``,
+        ``export_failed: <error>`` (``table`` is exported under
+        ``(epoch, key)`` once per epoch), ``stale_handle``, and finally a
+        fault that left nothing computed.
 
         Partitions are split into at most ``max_workers`` contiguous chunks
         (one task each: partitions are equal row ranges, so chunks are
@@ -648,13 +648,15 @@ class ProcessPartitionPool:
             return self._decline("joins")
         if not self.available:
             return None, {"fallback_reason": self.fallback_reason}
+        if len(partitions) < 2:
+            # Before admission: a query that never reaches the workers must
+            # not take the half-open probe slot it could not report back on.
+            return None, {"fallback_reason": "single_partition"}
         if not self.breaker.allow():
             return self._decline("breaker_open")
         handle, declined = self._export(epoch, key, table, weights)
         if handle is None:
             return None, declined
-        if len(partitions) < 2:
-            return None, {"fallback_reason": "single_partition"}
         if partitions[0].source.num_rows != handle.num_rows:
             # The table changed under its export.
             return self._decline("stale_handle")

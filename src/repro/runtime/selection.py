@@ -7,11 +7,15 @@ or one of the stratified families — the query should run on:
    the plan's WHERE/GROUP BY column set φ, the one with the fewest columns
    is chosen (§4.1.1): its strata align with the query's filter, so answers
    converge fastest and rare groups are guaranteed present.
-2. Otherwise the query is executed on the *smallest* resolution of every
-   family in parallel (they are small enough to fit in cluster memory), and
-   the family with the highest ratio of rows selected to rows read wins: the
-   response time grows with rows read while the error shrinks with rows
-   selected.
+2. Otherwise the query's WHERE clause is counted on the *smallest*
+   resolution of every family (they are small enough to fit in cluster
+   memory), and the family with the highest ratio of rows selected to rows
+   read wins: the response time grows with rows read while the error shrinks
+   with rows selected.  Ties go to the family with fewer columns, then to
+   the earlier one in catalog order.  Only the winner's smallest resolution
+   then runs the full aggregate (filter, per-group fold, finalize), because
+   only its answer is read: sizing takes its error and group count.  The
+   losers contribute their counts alone.
 
 Disjunctive WHERE clauses are already hoisted into disjoint conjunctive
 branches by the logical plan (§4.1.2); each branch gets its own family
@@ -19,13 +23,17 @@ selection so the runtime can aggregate the partial answers.
 
 Probe memoization
 -----------------
-Probe outcomes are deterministic given the plan (sans bounds) and the
-resolution, so they are memoized in a small LRU keyed by
-``(plan.probe_fingerprint(), resolution.name)``.  The memo's lifetime is
-the selector's — the facade discards the whole runtime (and with it this
-selector) whenever samples or base data change, so a probe can never
-outlive the data generation it measured.  Hit/miss counters feed
-``runtime.stats`` and the service metrics.
+Counts and aggregate probes are deterministic given the plan (sans bounds)
+and the resolution, so both are memoized in one small LRU keyed by
+``(plan.probe_fingerprint(), resolution.name, kind)``.  An aggregate probe
+reuses the count that selection already took on its resolution.  The memo's
+lifetime is the selector's — the facade discards the whole runtime (and
+with it this selector) whenever samples are rebuilt — and a streaming
+append drops the appended table's entries of both kinds
+(:meth:`SampleFamilySelector.invalidate_table` matches the resolution name
+in the key's second slot), so neither kind outlives the data generation it
+measured.  Hit/miss counters per kind feed ``runtime.stats`` and the service
+metrics.
 """
 
 from __future__ import annotations
@@ -45,19 +53,29 @@ from repro.sampling.resolution import SampleResolution
 
 from repro.storage.catalog import Catalog
 
-#: Probe memo capacity; probes are tiny but hold a full QueryResult each.
+#: Probe memo capacity; a count entry holds one int, an aggregate entry a
+#: full QueryResult.
 _PROBE_CACHE_ENTRIES = 512
+
+#: Memo kinds, the third slot of a memo key.
+_COUNT = "count"
+_AGGREGATE = "aggregate"
 
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Statistics gathered by running a query on one (small) resolution."""
+    """Statistics gathered on one (small) resolution.
+
+    Every probed family gets one from its count.  Only the chosen family's
+    also carries ``result``, the query aggregated on the resolution, which
+    is what ``num_groups`` and the error properties read.
+    """
 
     resolution: SampleResolution
-    result: QueryResult
     rows_read: int
     rows_matched: int
-    num_groups: int
+    result: QueryResult | None = None
+    num_groups: int = 0
 
     @property
     def selectivity(self) -> float:
@@ -117,10 +135,10 @@ class SampleFamilySelector:
     def __init__(self, catalog: Catalog, executor: QueryExecutor) -> None:
         self.catalog = catalog
         self.executor = executor
-        self._probe_cache: OrderedDict[tuple[str, str], ProbeResult] = OrderedDict()
+        self._probe_cache: OrderedDict[tuple[str, str, str], ProbeResult | int] = OrderedDict()
         self._probe_lock = threading.Lock()
-        self._probe_hits = 0
-        self._probe_misses = 0
+        self._probe_hits = {_COUNT: 0, _AGGREGATE: 0}
+        self._probe_misses = {_COUNT: 0, _AGGREGATE: 0}
 
     # -- public API ---------------------------------------------------------------
     def select(self, plan: Plannable, probe_on_miss: bool = True) -> FamilySelection:
@@ -161,44 +179,41 @@ class SampleFamilySelector:
             fallback = uniform if uniform is not None else families[0]
             return FamilySelection(family=fallback, reason="fallback-no-probe")
 
-        probes: list[tuple[FamilySelection, ProbeResult]] = []
-        for family in families:
-            probe = self.probe(plan, family.smallest)
-            probes.append((FamilySelection(family=family, reason="probe"), probe))
-        best_selection, best_probe = max(
-            probes, key=lambda item: (item[1].selectivity, -len(getattr(item[0].family, "columns", ())))
+        fingerprint = plan.probe_fingerprint()
+        counts = [
+            ProbeResult(
+                resolution=family.smallest,
+                rows_read=family.smallest.num_rows,
+                rows_matched=self._count(plan, fingerprint, family.smallest, record=True),
+            )
+            for family in families
+        ]
+        winner = max(
+            range(len(families)),
+            key=lambda i: (counts[i].selectivity, -len(getattr(families[i], "columns", ()))),
         )
+        probe = self.probe(plan, families[winner].smallest)
+        counts[winner] = probe
         return FamilySelection(
-            family=best_selection.family,
+            family=families[winner],
             reason="probe-best-ratio",
-            probe=best_probe,
-            probes=tuple(p for _, p in probes),
+            probe=probe,
+            probes=tuple(counts),
         )
 
     def probe(self, plan: Plannable, resolution: SampleResolution) -> ProbeResult:
-        """Run the plan on one resolution and collect selectivity statistics.
+        """Aggregate the plan on one resolution and collect its statistics.
 
         Memoized: identical plans (up to bounds) probing the same resolution
-        return the cached outcome instead of re-executing.
+        return the cached outcome instead of re-executing.  The row count
+        comes from the count memo when selection already took it.
         """
         plan = LogicalPlan.of(plan)
-        key = (plan.probe_fingerprint(), resolution.name)
-        with self._probe_lock:
-            cached = self._probe_cache.get(key)
-            if cached is not None:
-                self._probe_cache.move_to_end(key)
-                self._probe_hits += 1
-                return cached
-            self._probe_misses += 1
-        probe = self._probe_uncached(plan, resolution)
-        with self._probe_lock:
-            self._probe_cache[key] = probe
-            self._probe_cache.move_to_end(key)
-            while len(self._probe_cache) > _PROBE_CACHE_ENTRIES:
-                self._probe_cache.popitem(last=False)
-        return probe
-
-    def _probe_uncached(self, plan: LogicalPlan, resolution: SampleResolution) -> ProbeResult:
+        fingerprint = plan.probe_fingerprint()
+        key = (fingerprint, resolution.name, _AGGREGATE)
+        cached = self._memo_get(key)
+        if cached is not None:
+            return cached
         context = ExecutionContext(
             weights=resolution.weights,
             exact=False,
@@ -208,29 +223,61 @@ class SampleFamilySelector:
             sample_name=resolution.name,
         )
         result = self.executor.execute(plan, resolution.table, context)
-        # Kernel-backed count: zone maps let skip/take-all blocks contribute
-        # without evaluation, and no full-width mask is materialized.  The
-        # execute() above already accounted this scan in the lifetime
-        # counters, so the count does not record it a second time.
-        rows_matched = self.executor.count_matching(
-            plan, resolution.table, record=False
-        )
-        return ProbeResult(
+        # execute() already accounted this scan in the lifetime counters, so
+        # a count taken here (no selection counted this resolution first)
+        # does not record it a second time.
+        probe = ProbeResult(
             resolution=resolution,
-            result=result,
             rows_read=resolution.num_rows,
-            rows_matched=rows_matched,
+            rows_matched=self._count(plan, fingerprint, resolution, record=False),
+            result=result,
             num_groups=max(1, len(result.groups)),
         )
+        self._memo_put(key, probe)
+        return probe
+
+    def _count(
+        self, plan: LogicalPlan, fingerprint: str, resolution: SampleResolution, record: bool
+    ) -> int:
+        """Rows of the resolution matching the plan's WHERE clause (memoized).
+
+        A kernel count: zone maps let skip/take-all blocks contribute
+        without evaluation, and no full-width mask is materialized.
+        """
+        key = (fingerprint, resolution.name, _COUNT)
+        cached = self._memo_get(key)
+        if cached is not None:
+            return cached
+        rows_matched = self.executor.count_matching(plan, resolution.table, record=record)
+        self._memo_put(key, rows_matched)
+        return rows_matched
+
+    def _memo_get(self, key: tuple[str, str, str]):
+        with self._probe_lock:
+            cached = self._probe_cache.get(key)
+            if cached is None:
+                self._probe_misses[key[2]] += 1
+                return None
+            self._probe_cache.move_to_end(key)
+            self._probe_hits[key[2]] += 1
+            return cached
+
+    def _memo_put(self, key: tuple[str, str, str], value: ProbeResult | int) -> None:
+        with self._probe_lock:
+            self._probe_cache[key] = value
+            self._probe_cache.move_to_end(key)
+            while len(self._probe_cache) > _PROBE_CACHE_ENTRIES:
+                self._probe_cache.popitem(last=False)
 
     def invalidate_table(self, table_name: str) -> int:
-        """Drop memoized probes of one table's resolutions (the ingest fence).
+        """Drop memoized counts and probes of one table's resolutions (the ingest fence).
 
         Streaming appends change a table's data and samples without
-        discarding the runtime, so probes measured on the previous generation
-        must not steer planning afterwards.  Resolution names are namespaced
-        by table (``"<table>/uniform/…"``, ``"<table>/strat(…)"``), which is
-        what the match keys on; other tables' probes survive.
+        discarding the runtime, so counts and probes measured on the previous
+        generation must not steer planning afterwards.  Resolution names are
+        namespaced by table (``"<table>/uniform/…"``, ``"<table>/strat(…)"``)
+        and sit in the second slot of every memo key, which is what the match
+        keys on; other tables' entries survive.
         """
         prefix = f"{table_name}/"
         with self._probe_lock:
@@ -241,11 +288,18 @@ class SampleFamilySelector:
 
     @property
     def probe_cache_stats(self) -> dict[str, int]:
-        """Thread-safe snapshot of the probe memo's hit/miss/size counters."""
+        """Thread-safe snapshot of the probe memo's hit/miss/size counters.
+
+        ``probe_cache_hits`` / ``probe_cache_misses`` count aggregate probes
+        (a miss executes the plan on a resolution); the ``count_`` pair counts
+        the per-family row counts (a miss runs one kernel count).
+        """
         with self._probe_lock:
             return {
-                "probe_cache_hits": self._probe_hits,
-                "probe_cache_misses": self._probe_misses,
+                "probe_cache_hits": self._probe_hits[_AGGREGATE],
+                "probe_cache_misses": self._probe_misses[_AGGREGATE],
+                "probe_cache_count_hits": self._probe_hits[_COUNT],
+                "probe_cache_count_misses": self._probe_misses[_COUNT],
                 "probe_cache_entries": len(self._probe_cache),
             }
 

@@ -28,6 +28,7 @@ from repro.engine.executor import QueryExecutor
 from repro.engine.kernels import ScanSink
 from repro.faults import FaultPlan
 from repro.faults import injector as injector_mod
+from repro.faults.breaker import CircuitBreaker
 from repro.runtime.procpool import ProcessPartitionPool
 from repro.sql.parser import parse_query
 from repro.storage import shm
@@ -274,6 +275,41 @@ class TestPoolHealing:
             stats = pool.stats()
             assert stats["breaker_trips"] == 1
             assert stats["breaker_half_opens"] >= 1
+        finally:
+            pool.close()
+
+    def test_single_partition_query_leaves_the_half_open_slot(self):
+        # A one-partition query declines before admission, so after the
+        # cooldown it must not take the half-open probe slot: the next
+        # multi-partition query is the probe, runs on the workers and closes
+        # the breaker (instead of seeing it open for another cooldown).
+        now = [0.0]
+        pool = _healing_pool(retry_attempts=0, thread_redispatch=False)
+        pool.breaker = CircuitBreaker(
+            failure_threshold=1, cooldown_seconds=30.0, clock=lambda: now[0]
+        )
+        try:
+            assert pool.warm()
+            with injector_mod.installed(FaultPlan.parse("shm.attach_fail")):
+                shipped, *_ = self._run(pool, None, partitions=4)
+            assert shipped is None  # every chunk failed
+            assert pool.breaker.state == "open"
+            now[0] += 31.0
+            shipped, _, info, _ = self._run(pool, None, partitions=1)
+            assert shipped is None
+            assert info == {"fallback_reason": "single_partition"}
+            assert pool.breaker.state == "half-open"
+            shipped, expected, info, ctx = self._run(pool, None, partitions=4)
+            assert info["backend"] == "processes"
+            assert shipped is not None and all(p is not None for p in shipped)
+            executor, query, table, weights = ctx
+            _assert_bit_identical(
+                _finalize(executor, query, shipped, table, weights), expected
+            )
+            assert pool.breaker.state == "closed"
+            stats = pool.stats()
+            assert stats["breaker_half_opens"] == 1
+            assert "fallbacks.breaker_open" not in stats
         finally:
             pool.close()
 

@@ -17,6 +17,7 @@ import pytest
 from repro.common.config import BlinkDBConfig, ClusterConfig, SamplingConfig
 from repro.core.blinkdb import BlinkDB
 from repro.ingest.maintainers import StratifiedFamilyMaintainer, stratified_prepare_task
+from repro.net.protocol import encode_result
 from repro.sampling.family import StratifiedSampleFamily, verify_nesting
 from repro.storage.table import Table
 from repro.workloads.conviva import conviva_query_templates, generate_sessions_table
@@ -124,6 +125,35 @@ class TestGenerationFencing:
         assert selector.probe_cache_stats["probe_cache_entries"] > 0
         db.append("sessions", batch_of(100, seed=9))
         assert selector.probe_cache_stats["probe_cache_entries"] == 0
+
+    def test_append_reruns_counts_and_probe_and_answers_like_a_fresh_facade(self):
+        # The memo holds one count per family and one aggregate probe for the
+        # winner; the append must fence both kinds, or the next plan would
+        # pick its family from counts of the previous generation.
+        sql = (
+            "SELECT COUNT(*), AVG(session_time) FROM sessions "
+            "WHERE genre = 'drama' GROUP BY browser"
+        )
+        batch = batch_of(400, seed=31)
+        db = fresh_db()
+        families = len(db.runtime.explain(sql).selection.probes)
+        assert families >= 2
+        cold = db.runtime.selector.probe_cache_stats
+        db.query(sql)
+        before = db.runtime.selector.probe_cache_stats
+        for kind in ("probe_cache_misses", "probe_cache_count_misses"):
+            assert before[kind] == cold[kind]  # warm: every pass a memo hit
+        db.append("sessions", batch)
+        answer = db.query(sql)
+        after = db.runtime.selector.probe_cache_stats
+        assert after["probe_cache_count_misses"] - before["probe_cache_count_misses"] == families
+        assert after["probe_cache_misses"] - before["probe_cache_misses"] == 1
+
+        fresh = fresh_db()
+        fresh.append("sessions", batch)
+        expected = fresh.query(sql)
+        assert answer.sample_name == expected.sample_name
+        assert encode_result(answer) == encode_result(expected)
 
 
 class TestEscalation:
