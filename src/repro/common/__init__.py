@@ -19,7 +19,6 @@ from repro.common.errors import (
     PlanningError,
     SampleNotFoundError,
     SchemaError,
-    StorageBudgetError,
 )
 from repro.common.rng import derive_rng, make_rng
 from repro.common.units import (
@@ -50,7 +49,6 @@ __all__ = [
     "PlanningError",
     "SampleNotFoundError",
     "SchemaError",
-    "StorageBudgetError",
     "make_rng",
     "derive_rng",
     "KB",

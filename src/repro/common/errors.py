@@ -51,10 +51,6 @@ class OptimizationError(BlinkDBError):
     """The MILP sample-selection problem could not be solved."""
 
 
-class StorageBudgetError(OptimizationError):
-    """No feasible set of sample families fits within the storage budget."""
-
-
 class QueryRejectedError(BlinkDBError):
     """The service's admission controller refused to run a query.
 

@@ -11,9 +11,16 @@ live in: for every supported aggregate a state that can
   matching rows,
 * ``merge`` with the state of another partition (associative and
   commutative up to floating-point rounding), and
-* ``finalize`` into an :class:`~repro.estimation.estimators.Estimate` with
-  the same point value and variance the whole-table estimators in
-  :mod:`repro.estimation.estimators` produce.
+* ``finalize`` into an :class:`~repro.estimation.estimators.Estimate`: the
+  point value and its variance.
+
+These states are the one implementation of the COUNT/SUM/AVG/VARIANCE/STDDEV
+estimators and their error bars.  The Table-2 expressions come from
+:mod:`repro.estimation.closed_form` when the weights are uniform; mixed
+weights (exact strata beside capped ones) take a Horvitz–Thompson or
+linearised variance, which reduces to the same forms in the uniform limit.
+The quantile sketch finalizes through
+:func:`~repro.estimation.estimators.estimate_quantile`.
 
 Means and variances use the Welford/Chan parallel-merge form (count, mean,
 M2) rather than raw power sums, so merging is numerically stable even when
@@ -449,7 +456,7 @@ class AggregateState:
 
 
 class CountState(AggregateState):
-    """Mergeable state of ``COUNT(*)`` (mirrors ``estimate_count``)."""
+    """Mergeable state of ``COUNT(*)``: ``Σ w`` with Table 2's COUNT variance."""
 
     def __init__(self) -> None:
         self.weights = WeightMoments()
@@ -506,7 +513,7 @@ class CountState(AggregateState):
 
 
 class SumState(AggregateState):
-    """Mergeable state of ``SUM(x)`` (mirrors ``estimate_sum``)."""
+    """Mergeable state of ``SUM(x)``: ``Σ w·x`` with Table 2's SUM variance."""
 
     def __init__(self) -> None:
         self.weights = WeightMoments()
@@ -633,7 +640,7 @@ class SumState(AggregateState):
 
 
 class AvgState(AggregateState):
-    """Mergeable state of ``AVG(x)`` (mirrors ``estimate_avg``)."""
+    """Mergeable state of ``AVG(x)``: the Hájek ratio with Table 2's AVG variance."""
 
     def __init__(self) -> None:
         self.weights = WeightMoments()
@@ -718,7 +725,7 @@ class AvgState(AggregateState):
 
 
 class VarianceState(AggregateState):
-    """Mergeable state of ``VARIANCE(x)`` (mirrors ``estimate_variance``)."""
+    """Mergeable state of ``VARIANCE(x)`` (``closed_form.variance_of_sample_variance``)."""
 
     def __init__(self) -> None:
         self.weights = WeightMoments()

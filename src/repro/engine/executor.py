@@ -495,28 +495,9 @@ class QueryExecutor:
         else:
             if not self.scan_acceleration:
                 return None
-            if origin is not None:
-                source = origin.source
-                row_start = origin.block.row_start
-                row_end = origin.block.row_end
-            else:
-                source = fallback_source if fallback_source is not None else working
-                row_start, row_end = 0, working.num_rows
-            if row_end - row_start != working.num_rows:
+            selection = self._accelerated_selection(plan, working, origin, fallback_source, sink)
+            if selection is None:
                 return None
-            kernel = self.predicate_kernel(plan.where, source)
-            counters = ScanCounters()
-            selection = kernel.select_range(
-                working,
-                row_start,
-                row_end,
-                counters=counters,
-                row_width=working.row_width_bytes,
-            )
-            self._record_scan(counters)
-            if sink is not None:
-                sink.record_scan(counters)
-                sink.record_filter(row_end - row_start, selection.size)
 
         weights_fold = WeightFold(
             weights[selection]
@@ -647,13 +628,17 @@ class QueryExecutor:
         all (``COUNT(*)`` with no filters) keeps one carrier column so the
         row count survives.
         """
-        referenced = plan.referenced_columns
-        names = [n for n in data.schema.names if n in referenced]
+        names = self._pruned_names(plan, data)
         if len(names) == len(data.schema.names):
             return data
-        if not names:
-            names = data.schema.names[:1]
         return data.project(names)
+
+    @staticmethod
+    def _pruned_names(plan: LogicalPlan, data: Table) -> list[str]:
+        """The columns :meth:`prune` keeps, in schema order."""
+        referenced = plan.referenced_columns
+        names = [n for n in data.schema.names if n in referenced]
+        return names or data.schema.names[:1]
 
     # -- stage 2: WHERE filtering --------------------------------------------------------
     def _filter_stage(
@@ -688,27 +673,8 @@ class QueryExecutor:
             # COUNT(*)-only plans keep one carrier column for the row count.
             survivors = working.project(names or working.schema.names[:1])
         if self._accelerable(plan):
-            if origin is not None:
-                source = origin.source
-                row_start = origin.block.row_start
-                row_end = origin.block.row_end
-            else:
-                source = fallback_source if fallback_source is not None else working
-                row_start, row_end = 0, working.num_rows
-            if row_end - row_start == working.num_rows:
-                kernel = self.predicate_kernel(plan.where, source)
-                counters = ScanCounters()
-                selection = kernel.select_range(
-                    working,
-                    row_start,
-                    row_end,
-                    counters=counters,
-                    row_width=working.row_width_bytes,
-                )
-                self._record_scan(counters)
-                if sink is not None:
-                    sink.record_scan(counters)
-                    sink.record_filter(row_end - row_start, selection.size)
+            selection = self._accelerated_selection(plan, working, origin, fallback_source, sink)
+            if selection is not None:
                 matched = survivors.take(selection)
                 matched_weights = weights[selection] if weights is not None else None
                 return matched, matched_weights
@@ -731,16 +697,52 @@ class QueryExecutor:
         if plan.where is None:
             return data.num_rows
         if self._accelerable(plan):
-            kernel = self.predicate_kernel(plan.where, data)
-            counters = ScanCounters()
-            selection = kernel.select_range(
-                data, 0, data.num_rows, counters=counters,
-                row_width=data.row_width_bytes,
-            )
-            if record:
-                self._record_scan(counters)
-            return int(selection.size)
+            selection = self._accelerated_selection(plan, data, record=record)
+            if selection is not None:
+                return int(selection.size)
         return int(np.count_nonzero(evaluate_predicate(plan.where, data)))
+
+    def _accelerated_selection(
+        self,
+        plan: LogicalPlan,
+        working: Table,
+        origin: TablePartition | None = None,
+        fallback_source: Table | None = None,
+        sink: ScanSink | None = None,
+        record: bool = True,
+    ) -> np.ndarray | None:
+        """The compiled kernel's selection vector of the plan's WHERE over
+        ``working``, or ``None`` when ``working`` does not map 1:1 onto a
+        row range of its source (the caller then takes its own fallback).
+
+        The source is ``origin``'s table and row range, else
+        ``fallback_source`` (or ``working`` itself) over all its rows.  The
+        scan is recorded at the width of the columns :meth:`prune` keeps —
+        all of an already pruned ``working`` — so a count and an execute
+        over the same rows book the same bytes: in the lifetime counters
+        unless ``record`` is false, and in ``sink`` when given.
+        """
+        if origin is not None:
+            source = origin.source
+            row_start = origin.block.row_start
+            row_end = origin.block.row_end
+        else:
+            source = fallback_source if fallback_source is not None else working
+            row_start, row_end = 0, working.num_rows
+        if row_end - row_start != working.num_rows:
+            return None
+        kernel = self.predicate_kernel(plan.where, source)
+        row_width = sum(working.schema.width_of(n) for n in self._pruned_names(plan, working))
+        counters = ScanCounters()
+        selection = kernel.select_range(
+            working, row_start, row_end, counters=counters, row_width=row_width
+        )
+        if record:
+            self._record_scan(counters)
+        if sink is not None:
+            sink.record_scan(counters)
+            sink.record_filter(row_end - row_start, selection.size)
+        return selection
 
     # -- stage 3: merged states -> estimates ---------------------------------------------
     def finalize(

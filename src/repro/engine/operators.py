@@ -1,4 +1,4 @@
-"""Physical operators: scan/filter helpers and the hash equi-join.
+"""Physical operators: the hash equi-join.
 
 The paper supports joins between a (sampled) fact table and dimension tables
 that fit in memory (§2.1).  The executor joins the dimension columns onto the
@@ -13,11 +13,6 @@ import numpy as np
 from repro.common.errors import ExecutionError, SchemaError
 from repro.storage.column import Column
 from repro.storage.table import Table
-
-
-def filter_table(table: Table, mask: np.ndarray) -> Table:
-    """Filter a table by a boolean mask (thin wrapper, kept for symmetry)."""
-    return table.filter(mask)
 
 
 def hash_join(

@@ -1,63 +1,18 @@
-"""Error estimation: closed-form variances, confidence intervals, estimators.
+"""Error estimation: closed-form variances, confidence intervals, estimates.
 
-This package implements the statistics behind BlinkDB's error bars:
+This package holds the statistics behind BlinkDB's error bars:
 
 * :mod:`repro.estimation.closed_form` — the closed-form variance formulas of
   the paper's Table 2 (AVG, COUNT, SUM, QUANTILE).
-* :mod:`repro.estimation.confidence` — normal-approximation confidence
-  intervals and relative-error conversions.
-* :mod:`repro.estimation.estimators` — point estimators with per-row weights
-  (the inverse effective sampling rates of §4.3) producing unbiased answers
-  from stratified samples, together with their estimated variances.
-* :mod:`repro.estimation.propagation` — uncertainty propagation when
-  combining estimates (unions of disjunctive sub-queries, scaled estimates,
-  differences), following the closed-form combination rules of [30].
+* :mod:`repro.estimation.confidence` — the normal critical value and the
+  confidence interval around an estimate.
+* :mod:`repro.estimation.estimators` — the :class:`Estimate` every
+  aggregate returns, the weight tests shared by the serial and partitioned
+  paths, and the weighted quantile estimator.
+* :mod:`repro.estimation.propagation` — ``combine_sum``, which adds the
+  answers of a disjunctive query's independent branches.
+
+The COUNT/SUM/AVG/VARIANCE/STDDEV estimators themselves are the mergeable
+states of :mod:`repro.engine.accumulators`: they are the one implementation
+of those error bars, built from the closed forms above.
 """
-
-from repro.estimation.closed_form import (
-    avg_variance,
-    count_variance,
-    quantile_variance,
-    sum_variance,
-)
-from repro.estimation.confidence import (
-    ConfidenceInterval,
-    confidence_interval,
-    relative_error,
-    required_sample_size_for_error,
-    z_score,
-)
-from repro.estimation.estimators import (
-    Estimate,
-    estimate_aggregate,
-    estimate_avg,
-    estimate_count,
-    estimate_quantile,
-    estimate_stddev,
-    estimate_sum,
-    estimate_variance,
-)
-from repro.estimation.propagation import combine_sum, difference, scale
-
-__all__ = [
-    "avg_variance",
-    "count_variance",
-    "quantile_variance",
-    "sum_variance",
-    "ConfidenceInterval",
-    "confidence_interval",
-    "relative_error",
-    "required_sample_size_for_error",
-    "z_score",
-    "Estimate",
-    "estimate_aggregate",
-    "estimate_avg",
-    "estimate_count",
-    "estimate_quantile",
-    "estimate_stddev",
-    "estimate_sum",
-    "estimate_variance",
-    "combine_sum",
-    "difference",
-    "scale",
-]

@@ -1,9 +1,8 @@
-"""Confidence intervals and error-bound arithmetic.
+"""Confidence intervals: the error bar of every approximate answer.
 
 BlinkDB reports every approximate answer with an error bar at a requested
-confidence level (default 95%), and converts a user's relative-error bound
-into a required sample size via the ``1/√n`` scaling of the closed-form
-standard deviations (§4.2).
+confidence level (default 95%): a normal-approximation interval of
+``z · √variance`` around the point estimate.
 """
 
 from __future__ import annotations
@@ -71,56 +70,3 @@ def confidence_interval(
         raise ValueError("variance must be non-negative")
     half_width = z_score(confidence) * math.sqrt(variance) if math.isfinite(variance) else math.inf
     return ConfidenceInterval(estimate=estimate, half_width=half_width, confidence=confidence)
-
-
-def relative_error(estimate: float, variance: float, confidence: float = 0.95) -> float:
-    """Relative error (CI half-width over |estimate|) at the given confidence."""
-    return confidence_interval(estimate, variance, confidence).relative_half_width
-
-
-def required_sample_size_for_error(
-    current_n: int,
-    current_variance: float,
-    estimate: float,
-    target_error: float,
-    confidence: float = 0.95,
-    relative: bool = True,
-) -> int:
-    """Rows needed so the error bound shrinks to ``target_error``.
-
-    Uses the ``variance ∝ 1/n`` behaviour of every Table-2 estimator: if a
-    sample of ``n`` rows gives variance ``v``, then ``n' = n · v / v_target``
-    rows give variance ``v_target``.  ``target_error`` is interpreted as a
-    relative error when ``relative`` is True (the paper's default), otherwise
-    as an absolute half-width.
-    """
-    if current_n <= 0:
-        raise ValueError("current_n must be positive")
-    if target_error <= 0:
-        raise ValueError("target_error must be positive")
-    if not math.isfinite(current_variance) or current_variance < 0:
-        raise ValueError("current_variance must be finite and non-negative")
-    z = z_score(confidence)
-    target_half_width = target_error * abs(estimate) if relative else target_error
-    if target_half_width <= 0:
-        # A zero estimate with a relative bound cannot be tightened by sampling.
-        return current_n
-    target_variance = (target_half_width / z) ** 2
-    if current_variance <= target_variance:
-        return current_n
-    scale_factor = current_variance / target_variance
-    return int(math.ceil(current_n * scale_factor))
-
-
-def error_at_sample_size(
-    current_n: int,
-    current_variance: float,
-    estimate: float,
-    new_n: int,
-    confidence: float = 0.95,
-) -> float:
-    """Predicted relative error after growing/shrinking the sample to ``new_n``."""
-    if current_n <= 0 or new_n <= 0:
-        raise ValueError("sample sizes must be positive")
-    projected_variance = current_variance * current_n / new_n
-    return relative_error(estimate, projected_variance, confidence)

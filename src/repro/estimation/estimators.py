@@ -1,21 +1,22 @@
-"""Point estimators with per-row weights and their variance estimates.
+"""The estimate type, the shared weight tests, and the quantile estimator.
 
 BlinkDB produces unbiased answers from stratified samples by tracking the
 *effective sampling rate* of every row and weighting each row by the inverse
-of that rate (§4.3, Tables 3–4).  The estimators here take a vector of
-matching values and the corresponding weights and return an
+of that rate (§4.3, Tables 3–4).  Every aggregate answers with an
 :class:`Estimate` — a point value plus an estimated variance from which
 confidence intervals and relative errors are derived.
 
-Two variance regimes are used:
+The COUNT/SUM/AVG/VARIANCE/STDDEV estimators live in one place only: the
+mergeable states of :mod:`repro.engine.accumulators`, which apply the
+Table-2 closed forms of :mod:`repro.estimation.closed_form`.  This module
+holds what those states share:
 
-* When all weights are (nearly) equal the sample is effectively uniform and
-  the closed forms of the paper's Table 2 apply directly
-  (:mod:`repro.estimation.closed_form`).
-* When weights differ across rows (a stratified sample mixing exact strata at
-  rate 1.0 with capped strata at rate ``K/F(x)``), a Horvitz–Thompson /
-  linearisation variance is used, which reduces to the Table-2 forms in the
-  uniform-weight limit.
+* :func:`weight_is_unit` and :func:`weights_nearly_uniform` — the exactness
+  and variance-regime tests, so the serial and partitioned paths decide
+  alike;
+* :func:`estimate_quantile` — the weighted quantile and its Table-2
+  variance, which :class:`~repro.engine.accumulators.QuantileState` applies
+  to its sketch.
 """
 
 from __future__ import annotations
@@ -68,17 +69,8 @@ class Estimate:
             return ConfidenceInterval(self.value, 0.0, confidence)
         return confidence_interval(self.value, self.variance, confidence)
 
-    def relative_error(self, confidence: float = 0.95) -> float:
-        """CI half-width over |value| (∞ for a zero-valued noisy estimate)."""
-        return self.interval(confidence).relative_half_width
 
-    def stddev(self) -> float:
-        return math.sqrt(self.variance) if math.isfinite(self.variance) else math.inf
-
-
-def _as_arrays(values, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if values is None:
-        values = np.ones(n, dtype=np.float64)
+def _as_arrays(values, weights) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values, dtype=np.float64)
     if weights is None:
         weights = np.ones(values.shape[0], dtype=np.float64)
@@ -118,112 +110,6 @@ def weights_nearly_uniform(min_weight: float, max_weight: float) -> bool:
     return bool(spread <= _UNIFORM_WEIGHT_TOLERANCE * max(1.0, abs(min_weight)))
 
 
-def _weights_uniform(weights: np.ndarray) -> bool:
-    if weights.size == 0:
-        return True
-    return weights_nearly_uniform(float(np.min(weights)), float(np.max(weights)))
-
-
-def estimate_count(
-    weights: np.ndarray | None,
-    rows_read: int,
-    population_read: float | None = None,
-    exact: bool = False,
-) -> Estimate:
-    """Estimate the population count of matching rows.
-
-    ``weights`` are the per-matching-row inverse sampling rates; ``rows_read``
-    is the total number of sampled rows scanned; ``population_read`` is the
-    number of original-table rows the scanned sample represents (defaults to
-    the sum of weights over all scanned rows ≈ ``rows_read`` × mean weight).
-    """
-    if weights is None:
-        weights = np.zeros(0, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    n = int(weights.shape[0])
-    value = float(np.sum(weights))
-    if exact:
-        return Estimate(value, 0.0, n, rows_read, value, exact=True)
-    if n == 0:
-        # No matching rows seen: the point estimate is 0 and the uncertainty
-        # is governed by the rows scanned (a Poisson-style upper bound).
-        variance = float(population_read or rows_read or 1.0)
-        return Estimate(0.0, variance, 0, rows_read, 0.0, exact=False)
-    if population_read is None:
-        population_read = float(np.mean(weights)) * max(rows_read, n)
-    if _weights_uniform(weights) and rows_read > 0:
-        selectivity = n / rows_read
-        variance = closed_form.count_variance(population_read, rows_read, selectivity)
-    else:
-        selectivity = min(1.0, n / rows_read) if rows_read > 0 else 0.0
-        variance = float(np.sum(weights * (weights - 1.0))) * max(0.0, 1.0 - selectivity)
-    return Estimate(value, variance, n, rows_read, value, exact=False)
-
-
-def estimate_sum(
-    values: np.ndarray,
-    weights: np.ndarray | None,
-    rows_read: int,
-    population_read: float | None = None,
-    exact: bool = False,
-) -> Estimate:
-    """Estimate the population sum of ``values`` over matching rows."""
-    values, weights = _as_arrays(values, weights, 0)
-    n = int(values.shape[0])
-    value = float(np.sum(values * weights))
-    population_rows = float(np.sum(weights))
-    if exact:
-        return Estimate(value, 0.0, n, rows_read, population_rows, exact=True)
-    if n == 0:
-        return Estimate(0.0, math.inf, 0, rows_read, 0.0)
-    if population_read is None:
-        population_read = float(np.mean(weights)) * max(rows_read, n)
-    if _weights_uniform(weights) and rows_read > 0 and n > 1:
-        selectivity = n / rows_read
-        sample_variance = float(np.var(values, ddof=1))
-        mean_value = float(np.mean(values))
-        variance = closed_form.sum_variance(
-            population_read, rows_read, sample_variance, selectivity, mean_value
-        )
-    else:
-        selectivity = min(1.0, n / rows_read) if rows_read > 0 else 0.0
-        variance = float(np.sum((values**2) * weights * (weights - 1.0)))
-        variance *= max(0.0, 1.0 - selectivity) if selectivity < 1.0 else 0.0
-        if variance == 0.0 and not _weights_uniform(weights):
-            variance = float(np.sum((values**2) * weights * np.maximum(weights - 1.0, 0.0)))
-    return Estimate(value, variance, n, rows_read, population_rows)
-
-
-def estimate_avg(
-    values: np.ndarray,
-    weights: np.ndarray | None,
-    rows_read: int,
-    exact: bool = False,
-) -> Estimate:
-    """Estimate the population mean of ``values`` over matching rows.
-
-    Uses the weighted (Hájek) ratio estimator ``Σ wᵢxᵢ / Σ wᵢ`` with a
-    linearised variance that reduces to ``S²/n`` for uniform weights.
-    """
-    values, weights = _as_arrays(values, weights, 0)
-    n = int(values.shape[0])
-    if n == 0:
-        return Estimate(math.nan, math.inf, 0, rows_read, 0.0)
-    weight_total = float(np.sum(weights))
-    value = float(np.sum(values * weights) / weight_total)
-    if exact:
-        return Estimate(value, 0.0, n, rows_read, weight_total, exact=True)
-    if n == 1:
-        return Estimate(value, math.inf, 1, rows_read, weight_total)
-    if _weights_uniform(weights):
-        sample_variance = float(np.var(values, ddof=1))
-        variance = closed_form.avg_variance(sample_variance, n)
-    else:
-        residuals = values - value
-        variance = float(np.sum((weights * residuals) ** 2)) / (weight_total**2)
-    return Estimate(value, variance, n, rows_read, weight_total)
-
-
 def estimate_quantile(
     values: np.ndarray,
     weights: np.ndarray | None,
@@ -246,7 +132,7 @@ def estimate_quantile(
     """
     if not 0.0 < p < 1.0:
         raise ValueError("quantile p must be in (0, 1)")
-    values, weights = _as_arrays(values, weights, 0)
+    values, weights = _as_arrays(values, weights)
     n = int(values.shape[0]) if sample_rows is None else int(sample_rows)
     if n == 0:
         return Estimate(math.nan, math.inf, 0, rows_read, 0.0)
@@ -276,77 +162,3 @@ def estimate_quantile(
     density = (high_p - low_p) / spread
     variance = closed_form.quantile_variance(n, p, density)
     return Estimate(value, variance, n, rows_read, float(total))
-
-
-def estimate_variance(
-    values: np.ndarray,
-    weights: np.ndarray | None,
-    rows_read: int,
-    exact: bool = False,
-) -> Estimate:
-    """Estimate the population variance of ``values`` (extension aggregate)."""
-    values, weights = _as_arrays(values, weights, 0)
-    n = int(values.shape[0])
-    if n < 2:
-        return Estimate(math.nan, math.inf, n, rows_read, 0.0)
-    weight_total = float(np.sum(weights))
-    mean = float(np.sum(values * weights) / weight_total)
-    value = float(np.sum(weights * (values - mean) ** 2) / weight_total)
-    # Rescale to an (approximately) unbiased estimate.
-    value *= n / max(1, n - 1)
-    if exact:
-        return Estimate(value, 0.0, n, rows_read, weight_total, exact=True)
-    variance = closed_form.variance_of_sample_variance(value, n)
-    return Estimate(value, variance, n, rows_read, weight_total)
-
-
-def estimate_stddev(
-    values: np.ndarray,
-    weights: np.ndarray | None,
-    rows_read: int,
-    exact: bool = False,
-) -> Estimate:
-    """Estimate the population standard deviation (extension aggregate)."""
-    var_estimate = estimate_variance(values, weights, rows_read, exact=exact)
-    if math.isnan(var_estimate.value):
-        return var_estimate
-    value = math.sqrt(max(0.0, var_estimate.value))
-    if exact:
-        return Estimate(value, 0.0, var_estimate.sample_rows, rows_read,
-                        var_estimate.population_rows, exact=True)
-    variance = closed_form.stddev_variance(var_estimate.value, var_estimate.sample_rows)
-    return Estimate(value, variance, var_estimate.sample_rows, rows_read,
-                    var_estimate.population_rows)
-
-
-def estimate_aggregate(
-    function: str,
-    values: np.ndarray | None,
-    weights: np.ndarray | None,
-    rows_read: int,
-    population_read: float | None = None,
-    quantile: float | None = None,
-    exact: bool = False,
-) -> Estimate:
-    """Dispatch to the estimator for ``function`` (by lowercase name).
-
-    ``function`` is one of ``count``, ``sum``, ``avg``, ``quantile``,
-    ``stddev``, ``variance``.  This string interface keeps the estimation
-    package independent of the SQL AST.
-    """
-    name = function.lower()
-    if name == "count":
-        return estimate_count(weights, rows_read, population_read, exact=exact)
-    if values is None:
-        raise ValueError(f"aggregate {function!r} requires a value column")
-    if name == "sum":
-        return estimate_sum(values, weights, rows_read, population_read, exact=exact)
-    if name == "avg":
-        return estimate_avg(values, weights, rows_read, exact=exact)
-    if name in ("quantile", "median"):
-        return estimate_quantile(values, weights, quantile or 0.5, rows_read, exact=exact)
-    if name == "stddev":
-        return estimate_stddev(values, weights, rows_read, exact=exact)
-    if name == "variance":
-        return estimate_variance(values, weights, rows_read, exact=exact)
-    raise ValueError(f"unknown aggregate function {function!r}")

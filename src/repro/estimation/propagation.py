@@ -1,20 +1,12 @@
-"""Uncertainty propagation for combined estimates.
+"""Uncertainty propagation: the sum of independent estimates.
 
 The paper's implementation adds an "Uncertainty Propagation module" that
-modifies the aggregation operators to return error bars (§5) and notes that
-closed-form estimates can be derived for combinations of the basic aggregates
-[30].  The runtime needs exactly three combination rules:
-
-* **Sums of independent estimates** — used when a disjunctive query is
-  rewritten as a union of conjunctive sub-queries (§4.1.2) and the partial
-  COUNT/SUM answers are added.
-* **Scaling by a constant** — e.g. converting a per-sample count into a
-  population count.
-* **Differences** — offered as a convenience for "compare two groups" style
-  analyses in the examples.
-
-All rules assume independence between the combined estimates, which holds
-for BlinkDB's disjoint disjunctive branches and disjoint strata.
+modifies the aggregation operators to return error bars (§5), with closed
+forms for combinations of the basic aggregates [30].  The runtime needs one
+rule: a disjunctive query rewritten as a union of conjunctive sub-queries
+(§4.1.2) adds its branches' COUNT/SUM answers, and the variances of
+independent estimates add.  BlinkDB's disjunctive branches are disjoint, so
+the independence holds.
 """
 
 from __future__ import annotations
@@ -41,60 +33,3 @@ def combine_sum(estimates: Sequence[Estimate]) -> Estimate:
         population = sum(e.population_rows for e in estimates)  # type: ignore[misc]
     exact = all(e.exact for e in estimates)
     return Estimate(value, 0.0 if exact else variance, sample_rows, rows_read, population, exact)
-
-
-def scale(estimate: Estimate, factor: float) -> Estimate:
-    """Multiply an estimate by a constant; variance scales by ``factor²``."""
-    variance = estimate.variance * factor**2 if math.isfinite(estimate.variance) else math.inf
-    population = (
-        estimate.population_rows * factor if estimate.population_rows is not None else None
-    )
-    return Estimate(
-        estimate.value * factor,
-        0.0 if estimate.exact else variance,
-        estimate.sample_rows,
-        estimate.rows_read,
-        population,
-        estimate.exact,
-    )
-
-
-def difference(left: Estimate, right: Estimate) -> Estimate:
-    """The difference of two independent estimates; variances add."""
-    if math.isfinite(left.variance) and math.isfinite(right.variance):
-        variance = left.variance + right.variance
-    else:
-        variance = math.inf
-    exact = left.exact and right.exact
-    return Estimate(
-        left.value - right.value,
-        0.0 if exact else variance,
-        left.sample_rows + right.sample_rows,
-        left.rows_read + right.rows_read,
-        None,
-        exact,
-    )
-
-
-def weighted_average(estimates: Sequence[Estimate], weights: Sequence[float]) -> Estimate:
-    """A fixed-weight average of independent estimates.
-
-    Used when an answer is assembled from disjoint partitions with known
-    relative sizes (e.g. averaging per-stratum means by stratum population).
-    """
-    if not estimates:
-        raise ValueError("weighted_average requires at least one estimate")
-    if len(estimates) != len(weights):
-        raise ValueError("estimates and weights must have the same length")
-    total_weight = float(sum(weights))
-    if total_weight <= 0:
-        raise ValueError("weights must sum to a positive value")
-    value = sum(e.value * w for e, w in zip(estimates, weights)) / total_weight
-    if any(not math.isfinite(e.variance) for e in estimates):
-        variance = math.inf
-    else:
-        variance = sum(e.variance * (w / total_weight) ** 2 for e, w in zip(estimates, weights))
-    sample_rows = sum(e.sample_rows for e in estimates)
-    rows_read = sum(e.rows_read for e in estimates)
-    exact = all(e.exact for e in estimates)
-    return Estimate(value, 0.0 if exact else variance, sample_rows, rows_read, None, exact)

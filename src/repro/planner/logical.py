@@ -38,7 +38,6 @@ from repro.sql.ast import (
     AggregateCall,
     BetweenPredicate,
     BinaryPredicate,
-    ColumnRef,
     ComparisonOp,
     CompoundPredicate,
     ErrorBound,
@@ -378,8 +377,3 @@ def _plan_from_text(text: str) -> LogicalPlan:
     from repro.sql.parser import parse_query
 
     return LogicalPlan.from_query(parse_query(text))
-
-
-def group_key_columns(plan: LogicalPlan) -> tuple[ColumnRef, ...]:
-    """The canonical GROUP BY columns as :class:`ColumnRef` objects."""
-    return tuple(ColumnRef(name=name) for name in plan.group_by)

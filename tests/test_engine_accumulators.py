@@ -14,16 +14,11 @@ from repro.engine.accumulators import (
     make_state,
 )
 from repro.engine.executor import ExecutionContext, QueryExecutor
-from repro.estimation.estimators import (
-    estimate_avg,
-    estimate_count,
-    estimate_quantile,
-    estimate_stddev,
-    estimate_sum,
-    estimate_variance,
-)
+from repro.estimation.estimators import estimate_quantile
 from repro.sql.parser import parse_query
 from repro.storage.table import Table
+
+from _estimates import reference_estimate
 
 
 @pytest.fixture()
@@ -83,29 +78,19 @@ class TestWeightMoments:
         assert moments.sum_w_w_minus_1(c) == pytest.approx(expected)
 
 
-ESTIMATORS = {
-    "count": lambda v, w, rows_read, **kw: estimate_count(w, rows_read, **kw),
-    "sum": estimate_sum,
-    "avg": lambda v, w, rows_read, **kw: estimate_avg(v, w, rows_read),
-    "variance": lambda v, w, rows_read, **kw: estimate_variance(v, w, rows_read),
-    "stddev": lambda v, w, rows_read, **kw: estimate_stddev(v, w, rows_read),
-}
-
-
 class TestStatesMatchEstimators:
     @pytest.mark.parametrize("name", ["count", "sum", "avg", "variance", "stddev"])
     @pytest.mark.parametrize("chunks", [1, 4])
     def test_state_matches_whole_array_estimator(self, data, name, chunks):
         values, weights = data
         rows_read = len(values) * 2
+        population_read = float(np.sum(weights)) * 2
         state = _state_of(name, values, weights, chunks)
-        got = state.finalize(rows_read, population_read=float(np.sum(weights)) * 2)
-        expected = ESTIMATORS[name](
-            values, weights, rows_read, population_read=float(np.sum(weights)) * 2
-        )
-        assert got.value == pytest.approx(expected.value, rel=1e-9)
-        assert got.variance == pytest.approx(expected.variance, rel=1e-6)
-        assert got.sample_rows == expected.sample_rows
+        got = state.finalize(rows_read, population_read=population_read)
+        value, variance = reference_estimate(name, values, weights, rows_read, population_read)
+        assert got.value == pytest.approx(value, rel=1e-9)
+        assert got.variance == pytest.approx(variance, rel=1e-6)
+        assert got.sample_rows == len(values)
 
     def test_quantile_state_matches_estimator(self, data):
         values, weights = data
@@ -168,7 +153,7 @@ class TestCoverageScaling:
         c = 2.5
         state = _state_of("count", values, weights)
         got = state.finalize(800, 1e6, weight_scale=c)
-        expected = estimate_count(weights * c, 800, 1e6)
+        expected = _state_of("count", values, weights * c).finalize(800, 1e6)
         assert got.value == pytest.approx(expected.value, rel=1e-12)
         assert got.variance == pytest.approx(expected.variance, rel=1e-9)
 

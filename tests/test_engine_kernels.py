@@ -199,6 +199,18 @@ class TestTriageAndCounters:
         assert counters.bytes_total == ROWS * 8
         assert counters.skip_fraction == pytest.approx((ROWS - 32) / ROWS)
 
+    def test_count_records_the_width_execute_reads(self, table):
+        # The plan reads `a` and `x`; `b` and `city` are pruned away, so a
+        # count and an execute over the same rows must book the same bytes.
+        plan = LogicalPlan.of("SELECT SUM(x) FROM t WHERE a < 50")
+        counted, executed = QueryExecutor(), QueryExecutor()
+        counted.count_matching(plan, table)
+        executed.execute(plan, table, ExecutionContext())
+        count_stats, execute_stats = counted.scan_stats, executed.scan_stats
+        assert count_stats["rows_total"] == execute_stats["rows_total"] == ROWS
+        assert count_stats["bytes_total"] == execute_stats["bytes_total"]
+        assert count_stats["bytes_total"] < ROWS * table.row_width_bytes
+
     def test_scan_classification_never_reads_rows(self, table):
         kernel = kernel_for(table, "a < 32", 16)
         counters = kernel.scan_classification(row_width=4)

@@ -13,13 +13,9 @@ from repro.estimation.closed_form import (
     sum_variance,
     variance_of_sample_variance,
 )
-from repro.estimation.confidence import (
-    confidence_interval,
-    error_at_sample_size,
-    relative_error,
-    required_sample_size_for_error,
-    z_score,
-)
+from repro.engine.result import AggregateValue
+from repro.estimation.confidence import confidence_interval, z_score
+from repro.estimation.estimators import Estimate
 
 
 class TestClosedForms:
@@ -137,32 +133,12 @@ class TestConfidence:
         ci = confidence_interval(0.0, 1.0)
         assert math.isinf(ci.relative_half_width)
 
-    def test_relative_error_helper(self):
-        assert relative_error(100.0, 25.0, 0.95) == pytest.approx(1.96 * 5 / 100, abs=1e-3)
-
-    def test_required_sample_size_quarters_error_needs_16x(self):
-        n = required_sample_size_for_error(
-            current_n=100, current_variance=25.0, estimate=100.0,
-            target_error=relative_error(100.0, 25.0) / 4,
-        )
-        assert n == pytest.approx(1600, rel=0.02)
-
-    def test_required_sample_size_already_met(self):
-        n = required_sample_size_for_error(100, 0.0001, 100.0, 0.5)
-        assert n == 100
-
-    def test_required_sample_size_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            required_sample_size_for_error(0, 1.0, 10.0, 0.1)
-        with pytest.raises(ValueError):
-            required_sample_size_for_error(10, 1.0, 10.0, -0.1)
-        with pytest.raises(ValueError):
-            required_sample_size_for_error(10, math.inf, 10.0, 0.1)
-
-    def test_error_at_sample_size_sqrt_scaling(self):
-        error_100 = error_at_sample_size(100, 25.0, 100.0, 100)
-        error_400 = error_at_sample_size(100, 25.0, 100.0, 400)
-        assert error_400 == pytest.approx(error_100 / 2)
+    def test_reported_relative_error_is_z_sigma_over_estimate(self):
+        # What a query reports, and the probe's error extrapolates, is
+        # z·σ / |estimate|, whatever the sign of the estimate.
+        for value in (100.0, -100.0):
+            reported = AggregateValue("sum", Estimate(value, 25.0, sample_rows=10, rows_read=10))
+            assert reported.relative_error == pytest.approx(1.96 * 5 / 100, abs=1e-3)
 
 
 class TestFormulaAgainstMonteCarlo:

@@ -12,13 +12,16 @@ Three families of invariants:
 * **Anytime error bars** — finalizing fewer merged partitions (with the
   coverage-corrected weight scale) never shrinks an error bar: uncertainty
   widens monotonically as coverage drops.
+
+A fourth checks the states against the estimator formulas themselves
+(:func:`_estimates.reference_estimate`) in both weight regimes.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +30,8 @@ from repro.engine.accumulators import make_state
 from repro.engine.executor import ExecutionContext, QueryExecutor
 from repro.sql.parser import parse_query
 from repro.storage.table import Table
+
+from _estimates import reference_estimate
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -116,6 +121,67 @@ class TestMergeSemantics:
         order = list(range(len(chunks)))
         merged = _merge_all(name, chunks, order).finalize(rows_read, None)
         _comparable(whole, merged)
+
+
+def _measured_rows(seed, n, measure, regime):
+    """``n`` (values, weights) rows drawn from one seeded generator.
+
+    ``uniform`` weights share one rate (Table 2's regime); ``mixed`` weights
+    put exact strata (weight 1) beside capped ones, as a stratified sample
+    does; ``spread`` weights differ on every row.
+    """
+    rng = np.random.default_rng(seed)
+    if measure == "normal":
+        values = rng.normal(100.0, 25.0, n)
+    else:
+        values = rng.lognormal(3.0, 1.0, n)
+    if regime == "uniform":
+        weights = np.full(n, rng.uniform(1.0, 30.0))
+    elif regime == "mixed":
+        weights = np.where(rng.random(n) < 0.3, 1.0, rng.uniform(2.0, 40.0, n))
+    else:
+        weights = rng.uniform(1.0, 30.0, n)
+    return values, weights
+
+
+class TestStatesMatchReference:
+    """Every state's value and error bar equal the formulas, chunked or not."""
+
+    @pytest.mark.parametrize("name", ["count", "sum", "avg", "variance", "stddev"])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=400),
+        measure=st.sampled_from(["normal", "lognormal"]),
+        regime=st.sampled_from(["uniform", "mixed", "spread"]),
+        chunks=st.integers(min_value=1, max_value=4),
+        read_factor=st.integers(min_value=2, max_value=5),
+        given_population=st.booleans(),
+    )
+    # The fixed data the whole-array comparison used before it became a
+    # property (tests/conftest.py's ``rng`` fixture, seed 1234).
+    @example(
+        seed=1234, n=500, measure="normal", regime="spread", chunks=1,
+        read_factor=2, given_population=True,
+    )
+    @example(
+        seed=1234, n=500, measure="normal", regime="spread", chunks=4,
+        read_factor=2, given_population=True,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_state_matches_reference(
+        self, name, seed, n, measure, regime, chunks, read_factor, given_population
+    ):
+        values, weights = _measured_rows(seed, n, measure, regime)
+        rows_read = n * read_factor
+        population_read = 2.0 * float(np.sum(weights)) if given_population else None
+        state = make_state(name)
+        for v, w in zip(np.array_split(values, chunks), np.array_split(weights, chunks)):
+            state.update(v, w)
+        got = state.finalize(rows_read, population_read)
+        value, variance = reference_estimate(name, values, weights, rows_read, population_read)
+        assert got.value == pytest.approx(value, rel=1e-9)
+        assert got.variance == pytest.approx(variance, rel=1e-6, abs=1e-12)
+        assert got.sample_rows == n
 
 
 SPLIT_SQL = (

@@ -1,4 +1,8 @@
-"""Property-based tests (hypothesis) for the statistical estimators."""
+"""Property-based tests (hypothesis) for the statistical estimators.
+
+COUNT/SUM/AVG run through one update of their mergeable state
+(:func:`_estimates.one_shot`); quantiles through ``estimate_quantile``.
+"""
 
 import math
 
@@ -7,13 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.estimation.estimators import (
-    estimate_avg,
-    estimate_count,
-    estimate_quantile,
-    estimate_sum,
-)
-from repro.estimation.propagation import combine_sum, scale
+from repro.estimation.estimators import estimate_quantile
+from repro.estimation.propagation import combine_sum
+
+from _estimates import one_shot
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -35,7 +36,7 @@ class TestCountProperties:
     @settings(max_examples=60, deadline=None)
     def test_count_equals_weight_sum_and_variance_nonnegative(self, data):
         _, weights = data
-        estimate = estimate_count(weights, rows_read=len(weights) * 3)
+        estimate = one_shot("count", None, weights, rows_read=len(weights) * 3)
         assert estimate.value == float(np.sum(weights))
         assert estimate.variance >= 0 or math.isinf(estimate.variance)
 
@@ -43,7 +44,7 @@ class TestCountProperties:
     @settings(max_examples=40, deadline=None)
     def test_exact_flag_always_zero_width(self, data):
         _, weights = data
-        estimate = estimate_count(weights, rows_read=len(weights), exact=True)
+        estimate = one_shot("count", None, weights, rows_read=len(weights), exact=True)
         assert estimate.interval(0.99).half_width == 0.0
 
 
@@ -52,21 +53,21 @@ class TestAvgSumProperties:
     @settings(max_examples=60, deadline=None)
     def test_avg_within_value_range(self, data):
         values, weights = data
-        estimate = estimate_avg(values, weights, rows_read=len(values) * 2)
+        estimate = one_shot("avg", values, weights, rows_read=len(values) * 2)
         assert values.min() - 1e-9 <= estimate.value <= values.max() + 1e-9
 
     @given(values_and_weights(min_size=2))
     @settings(max_examples=60, deadline=None)
     def test_sum_matches_weighted_dot_product(self, data):
         values, weights = data
-        estimate = estimate_sum(values, weights, rows_read=len(values) * 2)
+        estimate = one_shot("sum", values, weights, rows_read=len(values) * 2)
         assert estimate.value == float(np.sum(values * weights))
 
     @given(values_and_weights(min_size=2), st.floats(min_value=0.5, max_value=0.99))
     @settings(max_examples=40, deadline=None)
     def test_interval_widens_with_confidence(self, data, confidence):
         values, weights = data
-        estimate = estimate_avg(values, weights, rows_read=len(values) * 2)
+        estimate = one_shot("avg", values, weights, rows_read=len(values) * 2)
         narrow = estimate.interval(confidence * 0.9)
         wide = estimate.interval(confidence)
         if math.isfinite(narrow.half_width) and math.isfinite(wide.half_width):
@@ -76,8 +77,8 @@ class TestAvgSumProperties:
     @settings(max_examples=40, deadline=None)
     def test_uniform_weight_scaling_does_not_change_avg(self, data):
         values, _ = data
-        a = estimate_avg(values, np.full(len(values), 2.0), rows_read=len(values) * 2)
-        b = estimate_avg(values, np.full(len(values), 20.0), rows_read=len(values) * 2)
+        a = one_shot("avg", values, np.full(len(values), 2.0), rows_read=len(values) * 2)
+        b = one_shot("avg", values, np.full(len(values), 20.0), rows_read=len(values) * 2)
         assert math.isclose(a.value, b.value, rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -97,18 +98,8 @@ class TestPropagationProperties:
     @settings(max_examples=40, deadline=None)
     def test_combine_sum_is_associative_in_value(self, datasets):
         estimates = [
-            estimate_count(weights, rows_read=len(weights) * 2) for _, weights in datasets
+            one_shot("count", None, weights, rows_read=len(weights) * 2) for _, weights in datasets
         ]
         combined = combine_sum(estimates)
         assert combined.value == sum(e.value for e in estimates)
         assert combined.sample_rows == sum(e.sample_rows for e in estimates)
-
-    @given(values_and_weights(), st.floats(min_value=0.1, max_value=100))
-    @settings(max_examples=40, deadline=None)
-    def test_scale_is_linear(self, data, factor):
-        _, weights = data
-        estimate = estimate_count(weights, rows_read=len(weights) * 2)
-        scaled = scale(estimate, factor)
-        assert scaled.value == estimate.value * factor
-        if math.isfinite(estimate.variance):
-            assert scaled.variance == estimate.variance * factor**2

@@ -135,6 +135,64 @@ class TestSizing:
             assert later >= earlier - 1e-2
         assert latencies[-1] >= latencies[0]
 
+    def test_profile_error_scales_as_inverse_sqrt_rows(self, setup):
+        # Table 2's σ ∝ 1/√n: 4× the rows halve the predicted error.
+        *_, sizer = setup
+        query, selection, probe = self._probe(
+            setup, "SELECT AVG(session_time) FROM sessions WHERE city = 'city_0001' GROUP BY os"
+        )
+        assert 0 < probe.worst_relative_error < math.inf
+        profile = sizer.build_profile(selection.family, probe)
+        for entry in profile:
+            growth = entry.resolution.num_rows / probe.resolution.num_rows
+            assert entry.predicted_relative_error == pytest.approx(
+                probe.worst_relative_error / math.sqrt(growth), rel=1e-12
+            )
+
+    def test_error_bound_cut_by_f_needs_f_squared_rows(self, setup):
+        *_, sizer = setup
+        query, selection, probe = self._probe(
+            setup, "SELECT AVG(session_time) FROM sessions WHERE city = 'city_0001' GROUP BY os"
+        )
+        family = selection.family
+        assert probe.resolution is family.smallest
+        for resolution in family.resolutions:
+            shrink = math.sqrt(probe.resolution.num_rows / resolution.num_rows)
+            bound = ErrorBound(error=probe.worst_relative_error * shrink * (1 + 1e-9), confidence=0.95)
+            chosen, _, satisfied = sizer.resolution_for_error(family, probe, bound)
+            assert satisfied
+            assert chosen is resolution
+
+    def test_error_bound_met_by_the_probe_keeps_the_smallest_resolution(self, setup):
+        *_, sizer = setup
+        query, selection, probe = self._probe(
+            setup, "SELECT COUNT(*) FROM sessions WHERE city = 'city_0001'"
+        )
+        bound = ErrorBound(error=probe.worst_relative_error, confidence=0.95)
+        resolution, _, satisfied = sizer.resolution_for_error(selection.family, probe, bound)
+        assert satisfied
+        assert resolution is selection.family.smallest
+
+    def test_unbounded_probe_error_waits_for_two_predicted_matches(self, setup):
+        # A probe that matched no row cannot bound the error: the profile
+        # stays unbounded until a resolution is predicted to hold two
+        # matching rows, then guesses 1/√(predicted matches).
+        *_, sizer = setup
+        query, selection, probe = self._probe(
+            setup, "SELECT SUM(session_time) FROM sessions WHERE country = 'country_01'"
+        )
+        assert probe.rows_matched == 0 and math.isinf(probe.worst_relative_error)
+        profile = sizer.build_profile(selection.family, probe)
+        assert any(math.isinf(e.predicted_relative_error) for e in profile)
+        assert any(math.isfinite(e.predicted_relative_error) for e in profile)
+        for entry in profile:
+            if entry.predicted_rows_matched >= 2:
+                assert entry.predicted_relative_error == pytest.approx(
+                    1 / math.sqrt(entry.predicted_rows_matched)
+                )
+            else:
+                assert math.isinf(entry.predicted_relative_error)
+
     def test_error_bound_picks_smallest_satisfying_resolution(self, setup):
         *_, sizer = setup
         query, selection, probe = self._probe(
