@@ -312,7 +312,11 @@ class WeightMoments:
 
 
 class WeightFold:
-    """One group's matching weights, reduced once for every state of the group."""
+    """One group's matching weights, reduced once for every state of the group.
+
+    A weight is an inverse sampling rate, so a negative one is refused
+    (:class:`ValueError`) rather than folded into a meaningless bar.
+    """
 
     __slots__ = ("array", "squared", "moments")
 
@@ -331,6 +335,8 @@ class WeightFold:
             if n
             else WeightMoments()
         )
+        if self.moments.min_w < 0.0:
+            raise ValueError(f"weights must be non-negative, got {self.moments.min_w!r}")
 
 
 class ColumnFold:
@@ -340,12 +346,18 @@ class ColumnFold:
     terms (``AvgState`` needs the deviations for its value moments and its
     centered moment); each is the float the per-state expression gave.  The
     products live in slots, filled on first access without the lock
-    ``functools.cached_property`` takes.
+    ``functools.cached_property`` takes.  The values must pair one to one
+    with the fold's weights; a length mismatch is a :class:`ValueError`,
+    not a numpy broadcast.
     """
 
     __slots__ = ("array", "weights", "_center", "_deviations", "_squared", "_moments", "_sum_wx")
 
     def __init__(self, array: np.ndarray, weights: WeightFold) -> None:
+        if array.shape[0] != weights.array.shape[0]:
+            raise ValueError(
+                f"{array.shape[0]} values for {weights.array.shape[0]} weights"
+            )
         self.array = array
         self.weights = weights
         self._center: float | None = None

@@ -80,6 +80,13 @@ class QueryResult:
     simulated_latency_seconds:
         Latency predicted by the cluster simulator for this execution at the
         simulated data scale, when available.
+    wire_text:
+        The JSON text of this answer's wire payload, kept by
+        :func:`repro.net.protocol.result_payload_text` when the network
+        server serves it as a result-cache hit (``None`` until then).
+        A result is not changed once it is answered, so the text stays
+        right for the object's life; an append or a sample rebuild drops
+        the cached result, and the next answer is a new object.
     """
 
     group_by: tuple[str, ...]
@@ -88,6 +95,7 @@ class QueryResult:
     sample_name: str | None = None
     simulated_latency_seconds: float | None = None
     metadata: dict = field(default_factory=dict, compare=False)
+    wire_text: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __iter__(self) -> Iterator[GroupResult]:
         return iter(self.groups)

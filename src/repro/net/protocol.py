@@ -49,6 +49,7 @@ code               HTTP  raised client-side as                       retryable
 
 from __future__ import annotations
 
+import json
 from typing import Any, Mapping
 
 from repro.common.errors import (
@@ -202,6 +203,24 @@ def encode_result(result: QueryResult) -> dict[str, Any]:
     }
 
 
+def result_payload_text(result: QueryResult, keep: bool = False) -> str:
+    """The JSON text of ``{"kind": "result", "result": encode_result(result)}``.
+
+    With ``keep`` the text is stored on the result
+    (:attr:`~repro.engine.result.QueryResult.wire_text`), and every later
+    call for that object returns it without encoding again.  The server
+    keeps it only for result-cache hits: the cache hands the same object to
+    every repeat, while a fresh answer is served once and then dropped.
+    """
+    text = result.wire_text
+    if text is None:
+        text = json.dumps({"kind": "result", "result": encode_result(result)}, default=str)
+        if keep:
+            # The one field a frozen result lets be filled after the fact.
+            object.__setattr__(result, "wire_text", text)
+    return text
+
+
 def decode_result(payload: Mapping[str, Any]) -> QueryResult:
     """Rebuild the :class:`QueryResult` a server encoded (bit-identical values)."""
     groups = []
@@ -263,6 +282,20 @@ def ok_envelope(result: Any, meta: Mapping[str, Any] | None = None) -> dict[str,
         "meta": dict(meta or {}),
         "result": result,
     }
+
+
+def ok_envelope_text(result_text: str, meta: Mapping[str, Any] | None = None) -> str:
+    """``json.dumps(ok_envelope(result, meta))``, byte for byte, where
+    ``result_text`` is ``json.dumps(result)`` encoded beforehand.
+
+    Only ``meta`` (request id, ticket, tenant, generation, backend) is
+    encoded here, so a kept payload is spliced in without re-encoding it.
+    """
+    meta_text = json.dumps(dict(meta or {}), default=str)
+    return (
+        f'{{"ok": true, "protocol": {PROTOCOL_VERSION}, '
+        f'"meta": {meta_text}, "result": {result_text}}}'
+    )
 
 
 def error_envelope(

@@ -36,6 +36,17 @@ carries the same id — one identifier correlates the client's wire request
 with the server's span tree.  Query answers additionally stamp the serving
 ``generation`` and execution ``backend`` into ``meta``.
 
+A repeated statement is served without re-parsing or re-encoding it:
+:func:`~repro.sql.parser.parse_statement` is memoised by statement text,
+the service's result cache answers with the very ``QueryResult`` object it
+holds, and when a ticket was such a cache hit the handler keeps that
+answer's encoded payload on the object
+(:func:`~repro.net.protocol.result_payload_text`).  Later hits only encode
+their own ``meta`` and splice it around the kept text
+(:func:`~repro.net.protocol.ok_envelope_text`), byte for byte what encoding
+the whole envelope gives.  A miss keeps nothing; appends and sample
+rebuilds drop the cached answer, so a kept encoding is never served stale.
+
 Fault points (chaos suite): ``net.request_drop`` closes the connection
 before writing any response (the client sees a transport error, not a
 structured one); ``net.slow_response`` delays the response by the rule's
@@ -267,7 +278,11 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
             envelope: Mapping[str, Any],
             retry_after: float | None = None,
         ) -> None:
-            body = _json_bytes(envelope)
+            self._send_body(status, _json_bytes(envelope), retry_after)
+
+        def _send_body(
+            self, status: int, body: bytes, retry_after: float | None = None
+        ) -> None:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -406,9 +421,12 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
                 return
             timeout = float(body.get("timeout_s") or server.default_timeout_seconds)
             result = ticket.result(timeout=timeout)
-            self._send_result(result, meta)
+            self._send_result(result, meta, keep=ticket.metrics.cache_hit)
 
-        def _send_result(self, result: object, meta: dict[str, Any]) -> None:
+        def _send_result(
+            self, result: object, meta: dict[str, Any], keep: bool = False
+        ) -> None:
+            """Send an answer; ``keep`` keeps a query answer's encoding for repeats."""
             if isinstance(result, AnalyzeResult):
                 meta.update(_result_meta(result.result))
                 payload: dict[str, Any] = {
@@ -422,7 +440,11 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
             else:
                 assert isinstance(result, QueryResult)
                 meta.update(_result_meta(result))
-                payload = {"kind": "result", "result": protocol.encode_result(result)}
+                text = protocol.ok_envelope_text(
+                    protocol.result_payload_text(result, keep=keep), meta
+                )
+                self._send_body(200, text.encode("utf-8"))
+                return
             self._send_envelope(200, protocol.ok_envelope(payload, meta))
 
         def _op_poll(self, body: Mapping[str, Any], meta: dict[str, Any]) -> None:
@@ -456,7 +478,9 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
             error = ticket.exception()
             if error is not None:
                 raise error
-            self._send_result(ticket.result(timeout=0.0), meta)
+            self._send_result(
+                ticket.result(timeout=0.0), meta, keep=ticket.metrics.cache_hit
+            )
 
         def _op_cancel(self, body: Mapping[str, Any], meta: dict[str, Any]) -> None:
             ticket_id = str(body.get("ticket") or "")

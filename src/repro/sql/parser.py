@@ -24,6 +24,8 @@ in the GROUP BY clause (they name the output groups, as in standard SQL).
 
 from __future__ import annotations
 
+import functools
+
 from repro.common.errors import ParseError
 from repro.sql.ast import (
     AggregateCall,
@@ -67,6 +69,11 @@ _COMPARISON_MAP = {
     ">": ComparisonOp.GT,
     ">=": ComparisonOp.GE,
 }
+
+#: Statements :func:`parse_statement` remembers, least recently used first
+#: out; the same size as the result cache, so a pool of statements that
+#: the cache can hold parses once.
+PARSE_MEMO_ENTRIES = 512
 
 
 class _Parser:
@@ -408,6 +415,7 @@ def parse_query(text: str) -> Query:
     return _Parser(tokens, text).parse()
 
 
+@functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)
 def parse_statement(text: str) -> Statement:
     """Parse a top-level BlinkQL statement.
 
@@ -415,6 +423,12 @@ def parse_statement(text: str) -> Statement:
     wrapping the inner query (``EXPLAIN ANALYZE SELECT ...`` additionally
     sets its ``analyze`` flag); anything else parses as a plain
     :class:`~repro.sql.ast.Query`.
+
+    Memoised by statement text (the last :data:`PARSE_MEMO_ENTRIES`
+    statements): parsing is pure and every AST node is a frozen dataclass,
+    so a re-issued statement gets back the very object its first parse
+    built.  A :class:`~repro.common.errors.ParseError` is never memoised;
+    a bad statement raises on every call.
     """
     tokens = tokenize(text)
     parser = _Parser(tokens, text)

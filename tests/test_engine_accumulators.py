@@ -194,6 +194,30 @@ class TestQuantileSketch:
         assert got.variance == pytest.approx(expected.variance, rel=0.25)
 
 
+class TestFoldInputGuards:
+    @pytest.mark.parametrize("name", ["count", "sum", "avg", "variance", "stddev"])
+    def test_length_mismatch_is_rejected_not_broadcast(self, name):
+        # numpy would broadcast one weight over three values (SUM 12.0).
+        with pytest.raises(ValueError, match="3 values for 1 weights"):
+            make_state(name).update(np.array([1.0, 2.0, 3.0]), np.array([2.0]))
+
+    @pytest.mark.parametrize("name", ["count", "sum", "avg", "variance", "stddev"])
+    def test_negative_weight_is_rejected(self, name):
+        values = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            make_state(name).update(values, np.array([2.0, -1.0, 3.0]))
+
+    def test_count_star_checks_weights_too(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_state("count").update(None, np.array([-0.5]))
+
+    def test_zero_and_empty_weights_still_fold(self):
+        state = make_state("sum")
+        state.update(np.array([], dtype=np.float64), np.array([], dtype=np.float64))
+        state.update(np.array([4.0, 5.0]), np.array([0.0, 2.0]))
+        assert state.finalize(rows_read=3, population_read=None).value == 10.0
+
+
 class TestPartialAggregation:
     def test_merge_rejects_mismatched_group_shapes(self):
         a = PartialAggregation(group_columns=("x",))

@@ -13,7 +13,7 @@ from repro.obs.registry import MetricsRegistry, SummaryWindow
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import Admission, DeadlineScheduler
 from repro.service.session import SessionDefaults
-from repro.sql.parser import parse_query
+from repro.sql.parser import parse_query, parse_statement
 from repro.workloads.conviva import conviva_query_templates
 
 
@@ -317,6 +317,23 @@ class TestServiceMetricsLifecycle:
 
 
 class TestQueryService:
+    def test_sessions_bound_the_shared_parse_their_own_way(self, service_db):
+        """One memoised AST, two sessions' defaults: own bounds, own cache keys."""
+        with service_db.serve(num_workers=1, autostart=False) as service:
+            loose = service.connect(name="loose", error_percent=20.0)
+            tight = service.connect(name="tight", time_bound_seconds=5.0)
+            loose_ticket = loose.submit(REPEATED_SQL)
+            tight_ticket = tight.submit(REPEATED_SQL)
+            assert loose_ticket.query.error_bound.error == pytest.approx(0.20)
+            assert loose_ticket.query.time_bound is None
+            assert tight_ticket.query.time_bound.seconds == 5.0
+            assert tight_ticket.query.error_bound is None
+            assert cache_key(loose_ticket.query) != cache_key(tight_ticket.query)
+            # apply_defaults built new queries; the memoised one is untouched.
+            shared = parse_statement(REPEATED_SQL)
+            assert shared.error_bound is None and shared.time_bound is None
+            assert loose_ticket.query is not shared and tight_ticket.query is not shared
+
     def test_repeated_template_served_from_cache(self, service_db):
         with service_db.serve(num_workers=2) as service:
             session = service.connect(name="analyst")

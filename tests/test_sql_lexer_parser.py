@@ -15,7 +15,7 @@ from repro.sql.ast import (
     to_disjunctive_branches,
 )
 from repro.sql.lexer import TokenType, tokenize
-from repro.sql.parser import parse_query
+from repro.sql.parser import PARSE_MEMO_ENTRIES, parse_query, parse_statement
 
 
 class TestLexer:
@@ -256,3 +256,37 @@ class TestContextualKeywords:
     def test_projected_keyword_column(self):
         query = parse_query("SELECT within, COUNT(*) FROM t GROUP BY within")
         assert query.group_by_columns() == {"within"}
+
+
+class TestParseMemo:
+    SQL = "SELECT COUNT(*) FROM sessions WHERE city = 'c1' GROUP BY os"
+
+    def test_same_text_returns_the_same_statement_object(self):
+        first = parse_statement(self.SQL)
+        assert parse_statement(self.SQL) is first
+        # The memo is keyed by text: a respelling parses to an equal, new object.
+        respelled = parse_statement(self.SQL.lower())
+        assert respelled == first and respelled is not first
+
+    def test_bad_statement_raises_on_every_call(self):
+        bad = "SELECT COUNT(*) FROM sessions WHERE"
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                parse_statement(bad)
+
+    def test_explain_variants_are_distinct_entries(self):
+        bare = parse_statement(self.SQL)
+        explain = parse_statement("EXPLAIN " + self.SQL)
+        analyze = parse_statement("EXPLAIN ANALYZE " + self.SQL)
+        assert type(explain).__name__ == "ExplainQuery" and not explain.analyze
+        assert analyze.analyze
+        assert explain.query == bare and analyze.query == bare
+        assert explain.query is not bare and analyze.query is not bare
+        assert parse_statement("EXPLAIN " + self.SQL) is explain
+
+    def test_memo_is_bounded(self):
+        info = parse_statement.cache_info()
+        assert info.maxsize == PARSE_MEMO_ENTRIES == 512
+        for i in range(PARSE_MEMO_ENTRIES + 8):
+            parse_statement(f"SELECT COUNT(*) FROM t WHERE a = {i}")
+        assert parse_statement.cache_info().currsize == PARSE_MEMO_ENTRIES
