@@ -76,7 +76,7 @@ def run_compressed_sweep(layout: str) -> tuple[list[dict], dict]:
     encoded = encode_table(raw, BLOCK_ROWS)
     stats = table_encoding_stats(encoded)
     key_width = raw.column("key").values().dtype.itemsize
-    executor = QueryExecutor(scan_acceleration=True, zone_block_rows=BLOCK_ROWS)
+    executor = QueryExecutor(zone_block_rows=BLOCK_ROWS)
     rows = []
     for label, fragment, selectivity in WORKLOADS:
         plan = LogicalPlan.of(f"SELECT SUM(value) FROM scan WHERE {fragment}")

@@ -1,4 +1,4 @@
-"""Scan acceleration: zone maps + compiled kernels, on vs off.
+"""Scan acceleration: zone maps + compiled kernels against a mask scan.
 
 Not a figure from the paper — this guards the scan-acceleration layer
 (block zone maps, predicate kernel compilation, selection vectors).  Its
@@ -14,8 +14,9 @@ layouts of the same rows:
 * ``shuffled`` — the same keys unsorted: every block spans the key range,
   so zone maps can prove nothing and every block is evaluated.
 
-On every workload and layout the accelerated answer is bit-identical to
-the naive one.
+On every workload and layout the kernel answer is bit-identical to the
+mask-path reference (``tests/_reference.py``), which evaluates the
+predicate over every row.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.engine.executor import ExecutionContext, QueryExecutor
 from repro.engine.kernels import ScanSink
 from repro.planner.logical import LogicalPlan
 from repro.storage.table import Table
+from tests._reference import MaskPathExecutor
 
 ROWS = 200_000
 ZONE_BLOCK_ROWS = 4096
@@ -61,8 +63,8 @@ def _run(executor: QueryExecutor, plan: LogicalPlan, table: Table):
 
 
 def run_scan_sweep(layout: str, table: Table) -> list[dict]:
-    naive = QueryExecutor(scan_acceleration=False)
-    accelerated = QueryExecutor(scan_acceleration=True, zone_block_rows=ZONE_BLOCK_ROWS)
+    naive = MaskPathExecutor()
+    accelerated = QueryExecutor(zone_block_rows=ZONE_BLOCK_ROWS)
     rows = []
     for label, fragment, selectivity in WORKLOADS:
         plan = LogicalPlan.of(f"SELECT SUM(value) FROM scan WHERE {fragment}")
@@ -87,7 +89,7 @@ def run_scan_sweep(layout: str, table: Table) -> list[dict]:
 
 def test_scan_acceleration_skips_blocks():
     print_header(
-        f"Scan acceleration: zone-map block verdicts, kernels on vs off "
+        f"Scan acceleration: zone-map block verdicts, kernels vs mask scan "
         f"({ROWS:,} rows, {ZONE_BLOCK_ROWS}-row blocks)"
     )
     clustered = run_scan_sweep("clustered", _make_table(sort=True))
@@ -96,8 +98,8 @@ def test_scan_acceleration_skips_blocks():
 
     for row in clustered + shuffled:
         assert row["identical"], row
-        # The naive path reads every row: the whole win is the accelerated
-        # path's skipped blocks.
+        # The mask path reads every row: the whole win is the kernel path's
+        # skipped blocks.
         assert row["off_rows_skipped"] == 0, row
         assert row["skipped"] + row["take_all"] + row["evaluated"] == row["blocks"], row
     for row in clustered:

@@ -73,8 +73,7 @@ class FullScanBaseline:
     """Runs queries exactly over the full table and prices the scan."""
 
     def __init__(self, table: Table, cluster: ClusterConfig | None = None,
-                 simulated_rows: int | None = None,
-                 scan_acceleration: bool = True) -> None:
+                 simulated_rows: int | None = None) -> None:
         """
         Parameters
         ----------
@@ -86,16 +85,12 @@ class FullScanBaseline:
             Row count at the simulated scale (defaults to the in-memory row
             count); lets a 10⁵-row table stand in for the paper's multi-TB
             inputs when pricing the scan.
-        scan_acceleration:
-            Whether the exact scans use the zone-map kernel path (answers
-            are identical either way; mirrors ``config.scan_acceleration``
-            for callers embedding the baseline in a gated setup).
         """
         self.table = table
         self.cluster = cluster or ClusterConfig()
         self.cost_model = CostModel(self.cluster)
         self.simulated_rows = simulated_rows or table.num_rows
-        self._executor = QueryExecutor(scan_acceleration=scan_acceleration)
+        self._executor = QueryExecutor()
 
     def execute(self, query: Plannable, engine: BaselineEngine) -> FullScanResult:
         """Exact answer plus the engine's simulated latency for the full scan.

@@ -82,11 +82,7 @@ class OnlineAggregationBaseline:
         self.cost_model = CostModel(self.cluster)
         self.simulated_rows = simulated_rows or table.num_rows
         self.cached_fraction = cached_fraction
-        # OLA consumes a *shuffled* table in ephemeral prefix chunks: zone
-        # maps can never skip on shuffled data, and each chunk is a fresh
-        # Table object, so the accelerated path would rebuild a throwaway
-        # zone index + kernel per convergence step for zero benefit.
-        self._executor = QueryExecutor(scan_acceleration=False)
+        self._executor = QueryExecutor()
         rng = make_rng(seed)
         self._order = rng.permutation(table.num_rows)
         self._randomized: Table | None = None

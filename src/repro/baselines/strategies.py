@@ -52,12 +52,11 @@ class StrategyAnswer:
 class SamplingStrategy:
     """One sample set (uniform / 1-D stratified / multi-D stratified)."""
 
-    def __init__(self, name: str, table: Table, catalog: Catalog,
-                 scan_acceleration: bool = True) -> None:
+    def __init__(self, name: str, table: Table, catalog: Catalog) -> None:
         self.name = name
         self.table = table
         self.catalog = catalog
-        self._executor = QueryExecutor(scan_acceleration=scan_acceleration)
+        self._executor = QueryExecutor()
         self._selector = SampleFamilySelector(catalog, self._executor)
 
     # -- storage accounting --------------------------------------------------------

@@ -32,10 +32,6 @@ class Node:
         return sum(self.cached_bytes.values())
 
     @property
-    def disk_free_bytes(self) -> int:
-        return max(0, self.config.disk_per_node_bytes - self.disk_used_bytes)
-
-    @property
     def cache_free_bytes(self) -> int:
         return max(0, self.config.memory_per_node_bytes - self.cache_used_bytes)
 

@@ -218,9 +218,6 @@ class ClusterSimulator:
     def has_dataset(self, name: str) -> bool:
         return name in self._datasets
 
-    def dataset_names(self) -> list[str]:
-        return sorted(self._datasets)
-
     # -- latency estimation ----------------------------------------------------------
     def simulate_scan(
         self,
@@ -275,12 +272,6 @@ class ClusterSimulator:
         return min(info.num_rows, max_bytes // info.row_width_bytes)
 
     # -- introspection -------------------------------------------------------------------
-    def total_cached_bytes(self) -> int:
-        return sum(node.cache_used_bytes for node in self.nodes)
-
-    def total_stored_bytes(self) -> int:
-        return sum(node.disk_used_bytes for node in self.nodes)
-
     def describe(self) -> dict[str, dict[str, object]]:
         """A JSON-friendly snapshot of every registered dataset."""
         return {

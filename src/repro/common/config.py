@@ -252,16 +252,14 @@ class BlinkDBConfig:
     # When False, appends report staleness_exceeded but never escalate on
     # their own (the operator drives replan_samples() explicitly).
     ingest_auto_escalate: bool = True
-    # -- scan acceleration (zone maps + compiled predicate kernels) -------------
-    # When True, join-free WHERE clauses are compiled once per (table, plan)
-    # into kernels that consult block zone maps to skip provably
-    # non-matching blocks and return selection vectors instead of full-width
-    # masks.  Base tables and sample resolutions are then also stored
-    # block-encoded (RLE runs, frame-of-reference / bit-packed integers, null
-    # suppression) and kernels execute on the encoded form without decoding.
-    # Answers are identical either way; only speed and footprint change.
-    scan_acceleration: bool = True
-    # Rows per zone-map block (the granularity of skip decisions).
+    # -- scan layout (zone maps + compiled predicate kernels) -------------------
+    # Join-free WHERE clauses are compiled once per (table, plan) into
+    # kernels that consult block zone maps to skip provably non-matching
+    # blocks and return selection vectors instead of full-width masks.  Base
+    # tables and sample resolutions are stored block-encoded (RLE runs,
+    # frame-of-reference / bit-packed integers, null suppression) and
+    # kernels execute on the encoded form without decoding.
+    # Rows per zone-map and encoding block (the granularity of skip decisions).
     zone_block_rows: int = 4096
     # -- observability (query-lifecycle tracing + accuracy ledger) ---------------
     # Fraction of executions that get a full span tree attached under

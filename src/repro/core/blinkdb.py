@@ -40,8 +40,7 @@ from repro.obs.ledger import template_label_of
 from repro.obs.observability import Observability
 from repro.optimizer.planner import SamplePlan, SampleSelectionPlanner
 from repro.planner.logical import LogicalPlan
-from repro.planner.physical import ExplainResult, PhysicalPlan, ScanEstimate
-from repro.planner.selectivity import estimate_selectivity
+from repro.planner.physical import ExplainResult, PhysicalPlan
 from repro.runtime.execution import BlinkDBRuntime
 from repro.runtime.procpool import ProcessPartitionPool
 from repro.sampling.builder import BuildReport, SampleBuilder
@@ -50,7 +49,7 @@ from repro.sql.ast import ExplainQuery, Query
 from repro.sql.parser import parse_query, parse_statement
 from repro.sql.templates import QueryTemplate, extract_template, normalize_weights, templates_from_trace
 from repro.storage.catalog import Catalog
-from repro.storage.encodings import describe_encoding_kinds, encode_table
+from repro.storage.encodings import encode_table
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - service imports are lazy at runtime
@@ -152,14 +151,11 @@ class BlinkDB:
             # A (re)load replaces the table wholesale; ingest state anchored
             # on the old rows is meaningless afterwards.
             self._ingest_states.pop(table.name, None)
-            if self.config.scan_acceleration:
-                # Build the scan-acceleration metadata once, at load time, so
-                # the first query pays only O(num_blocks) triage work.
-                table.zone_map_index(self.config.zone_block_rows)
-                # Encode per (column, block) using the statistics the zone
-                # maps just collected; kernels then execute on the encoded
-                # form without decoding.
-                table = encode_table(table, self.config.zone_block_rows)
+            # Build the zone maps and the per (column, block) encoding once,
+            # at load time, so the first query pays only O(num_blocks)
+            # triage work and kernels execute on the encoded form without
+            # decoding.
+            table = encode_table(table, self.config.zone_block_rows)
             self._builder.register_base_table(table, cache=cache)
             self._invalidate_runtime()
 
@@ -228,24 +224,20 @@ class BlinkDB:
             plan = planner.plan(templates, storage_budget_fraction=storage_budget_fraction)
             self._plans[table_name] = plan
             self._builder.build_from_column_sets(table, plan.column_sets)
-            if self.config.scan_acceleration:
-                # Zone maps are sample-build-time metadata: compute them for
-                # every resolution table now (stratified samples are stored
-                # sorted by φ, so their blocks have tight, skippable ranges).
-                for _, family in self.catalog.iter_families(table_name):
-                    for resolution in family.resolutions:
-                        resolution.table.zone_map_index(self.config.zone_block_rows)
-                        # Samples are stored sorted by φ, so stratified
-                        # resolutions are maximally RLE-friendly.  The
-                        # resolution is a frozen value type; swapping in the
-                        # encoded table here is safe because the exclusive
-                        # build lock is held and no runtime has seen this
-                        # generation yet.
-                        object.__setattr__(
-                            resolution,
-                            "table",
-                            encode_table(resolution.table, self.config.zone_block_rows),
-                        )
+            # Zone maps and encodings are sample-build-time metadata: build
+            # them for every resolution table now.  Samples are stored sorted
+            # by φ, so stratified blocks have tight, skippable ranges and are
+            # maximally RLE-friendly.  The resolution is a frozen value type;
+            # swapping in the encoded table here is safe because the
+            # exclusive build lock is held and no runtime has seen this
+            # generation yet.
+            for _, family in self.catalog.iter_families(table_name):
+                for resolution in family.resolutions:
+                    object.__setattr__(
+                        resolution,
+                        "table",
+                        encode_table(resolution.table, self.config.zone_block_rows),
+                    )
             state = self._ingest_states.get(table_name)
             if state is not None:
                 state.reanchor(recompute_statistics=True)
@@ -262,9 +254,6 @@ class BlinkDB:
         for columns, family in self.catalog.stratified_families(table_name).items():
             report.stratified[columns] = family.storage_bytes
         return report
-
-    def plan_for(self, table_name: str) -> SamplePlan | None:
-        return self._plans.get(table_name)
 
     # -- querying -------------------------------------------------------------------------------
     def query(
@@ -381,7 +370,11 @@ class BlinkDB:
         plan: PhysicalPlan = result.metadata["plan"]
         scan_estimate = plan.scan_estimate
         if scan_estimate is None and exact:
-            scan_estimate = self._exact_scan_estimate(plan.logical)
+            # The planner only costs sample scans; the exact path scanned the
+            # base table, so its estimate is taken there.
+            scan_estimate = runtime.planner.scan_estimate(
+                plan.logical, self.catalog.table(plan.logical.table)
+            )
         text = analyze_text(
             plan,
             result,
@@ -393,43 +386,6 @@ class BlinkDB:
             scan_estimate=scan_estimate,
         )
         return AnalyzeResult(plan=plan, result=result, trace=trace, text=text)
-
-    def _exact_scan_estimate(self, logical: LogicalPlan) -> ScanEstimate | None:
-        """Zone-map scan estimate against the *base* table (exact path).
-
-        The planner only costs scans of sample resolutions; the exact
-        baseline scans the base table, so EXPLAIN ANALYZE recomputes the
-        block classification there to have an estimate to compare against.
-        """
-        if logical.where is None or logical.joins:
-            return None
-        if not self.config.scan_acceleration:
-            return None
-        try:
-            table = self.catalog.table(logical.table)
-            kernel = self.runtime.executor.predicate_kernel(logical.where, table)
-            counters = kernel.scan_classification()
-            estimated = estimate_selectivity(logical.where, kernel.zone_index)
-        except Exception:
-            return None
-        raw_bytes = encoded_bytes = 0
-        encoding_kinds = ""
-        encoding_stats = table.encoding_stats()
-        if encoding_stats is not None:
-            raw_bytes = int(encoding_stats["raw_bytes"])  # type: ignore[arg-type]
-            encoded_bytes = int(encoding_stats["encoded_bytes"])  # type: ignore[arg-type]
-            encoding_kinds = describe_encoding_kinds(encoding_stats["blocks"])  # type: ignore[arg-type]
-        return ScanEstimate(
-            blocks_total=counters.blocks_total,
-            blocks_skipped=counters.blocks_skipped,
-            blocks_take_all=counters.blocks_take_all,
-            rows_total=counters.rows_total,
-            rows_skipped=counters.rows_skipped,
-            estimated_selectivity=estimated,
-            raw_bytes=raw_bytes,
-            encoded_bytes=encoded_bytes,
-            encoding_kinds=encoding_kinds,
-        )
 
     def metrics(self, collect: bool = True) -> dict[str, object]:
         """A JSON-friendly snapshot of every registered metric."""
@@ -855,7 +811,6 @@ class BlinkDB:
                 if self._procpool is None:
                     self._procpool = ProcessPartitionPool(
                         self.config.procpool_workers or None,
-                        scan_acceleration=self.config.scan_acceleration,
                         zone_block_rows=self.config.zone_block_rows,
                         task_timeout_seconds=self.config.procpool_task_timeout_seconds,
                         retry_attempts=self.config.procpool_retry_attempts,

@@ -122,31 +122,23 @@ class ExecutionContext:
 class QueryExecutor:
     """Executes logical plans against tables, resolving dimension tables by name.
 
-    ``scan_acceleration`` enables the zone-map + compiled-kernel scan path
-    (:mod:`repro.engine.kernels`): WHERE clauses of join-free plans are
-    lowered once per (table, predicate) into a cached kernel that skips
-    provably non-matching blocks and returns selection vectors instead of
-    full-width masks.  The accelerated path selects exactly the rows the
-    interpretive path would — turning it off only changes speed, never
-    answers.  Lifetime scan counters are exposed via :attr:`scan_stats`.
+    The WHERE clause of a join-free plan runs through the zone-map +
+    compiled-kernel scan path (:mod:`repro.engine.kernels`): it is lowered
+    once per (table, predicate) into a cached kernel that skips provably
+    non-matching blocks and returns selection vectors instead of full-width
+    masks.  Only plans with joins evaluate a mask
+    (:func:`~repro.engine.expressions.evaluate_predicate`) over the joined
+    rows.  Lifetime scan counters are exposed via :attr:`scan_stats`.
     """
 
     def __init__(
         self,
         tables: Mapping[str, Table] | None = None,
         *,
-        scan_acceleration: bool = True,
         zone_block_rows: int | None = None,
-        encoded_fold: bool = True,
     ) -> None:
         self._tables = dict(tables or {})
-        self.scan_acceleration = scan_acceleration
         self.zone_block_rows = zone_block_rows
-        #: Fold aggregates run-wise over RLE-encoded columns (see
-        #: :meth:`_encoded_fold_partial`).  Off, encoded columns still scan
-        #: without decoding but the aggregate stage gathers decoded values —
-        #: the bitwise-reference path the property harness compares against.
-        self.encoded_fold = encoded_fold
         # Compiled kernels keyed by (source table -> canonical predicate).
         # Weak table keys fence kernels (and the zone indexes they hold) to
         # the life of the data they were compiled against; kernels hold no
@@ -188,7 +180,8 @@ class QueryExecutor:
         return kernel
 
     def _accelerable(self, plan: LogicalPlan) -> bool:
-        return self.scan_acceleration and plan.where is not None and not plan.joins
+        """Whether the plan's WHERE runs through a compiled kernel."""
+        return plan.where is not None and not plan.joins
 
     def partition_triage(
         self, plan: Plannable, partitions: Sequence[TablePartition]
@@ -366,8 +359,8 @@ class QueryExecutor:
 
         # 1b. Run-weighted fold: a global aggregate over RLE-encoded columns
         # can skip the gather/decode of the aggregate stage entirely.
-        if self.encoded_fold and not plan.group_by and not plan.joins:
-            folded = self._encoded_fold_partial(
+        if not plan.group_by and not plan.joins:
+            folded = self._run_fold_partial(
                 plan,
                 working,
                 weights,
@@ -438,7 +431,7 @@ class QueryExecutor:
         return partial
 
     # -- stage 1b: run-weighted encoded fold ---------------------------------------------
-    def _encoded_fold_partial(
+    def _run_fold_partial(
         self,
         plan: LogicalPlan,
         working: Table,
@@ -493,11 +486,7 @@ class QueryExecutor:
             if sink is not None:
                 sink.record_filter(working.num_rows, working.num_rows)
         else:
-            if not self.scan_acceleration:
-                return None
             selection = self._accelerated_selection(plan, working, origin, fallback_source, sink)
-            if selection is None:
-                return None
 
         weights_fold = WeightFold(
             weights[selection]
@@ -652,11 +641,11 @@ class QueryExecutor:
     ) -> tuple[Table, np.ndarray | None]:
         """The rows of ``working`` matching the plan's WHERE clause.
 
-        The accelerated path compiles the predicate once per (source table,
-        predicate), triages each zone block (skip / take-all / evaluate),
-        and gathers by selection vector; it is taken whenever the plan has a
-        join-free WHERE and ``working`` still maps 1:1 onto a row range of
-        its source.  Either path selects the same rows in the same order.
+        A join-free WHERE takes the kernel path: the predicate is compiled
+        once per (source table, predicate), each zone block is triaged
+        (skip / take-all / evaluate), and the rows are gathered by selection
+        vector.  With joins, a mask over the joined ``working`` selects the
+        same rows in the same order.
         """
         if plan.where is None:
             return working, weights
@@ -674,10 +663,9 @@ class QueryExecutor:
             survivors = working.project(names or working.schema.names[:1])
         if self._accelerable(plan):
             selection = self._accelerated_selection(plan, working, origin, fallback_source, sink)
-            if selection is not None:
-                matched = survivors.take(selection)
-                matched_weights = weights[selection] if weights is not None else None
-                return matched, matched_weights
+            matched = survivors.take(selection)
+            matched_weights = weights[selection] if weights is not None else None
+            return matched, matched_weights
         mask = evaluate_predicate(plan.where, working)
         matched = survivors.filter(mask)
         if sink is not None:
@@ -690,17 +678,21 @@ class QueryExecutor:
 
         The probing phase uses this instead of materializing a full-width
         mask: skip and take-all blocks contribute their row counts without
-        any predicate evaluation.  ``record=False`` leaves the lifetime scan
-        counters untouched (for callers that already accounted the scan).
+        any predicate evaluation.  A plan with joins counts its matches on
+        the pruned, joined rows, as :meth:`partial_aggregate` filters them
+        (its WHERE may name dimension columns).  ``record=False`` leaves the
+        lifetime scan counters untouched (for callers that already accounted
+        the scan).
         """
         plan = LogicalPlan.of(plan)
         if plan.where is None:
             return data.num_rows
         if self._accelerable(plan):
-            selection = self._accelerated_selection(plan, data, record=record)
-            if selection is not None:
-                return int(selection.size)
-        return int(np.count_nonzero(evaluate_predicate(plan.where, data)))
+            return int(self._accelerated_selection(plan, data, record=record).size)
+        working = data
+        if plan.joins:
+            working, _ = self._apply_joins(plan, self.prune(plan, data), None)
+        return int(np.count_nonzero(evaluate_predicate(plan.where, working)))
 
     def _accelerated_selection(
         self,
@@ -710,10 +702,9 @@ class QueryExecutor:
         fallback_source: Table | None = None,
         sink: ScanSink | None = None,
         record: bool = True,
-    ) -> np.ndarray | None:
+    ) -> np.ndarray:
         """The compiled kernel's selection vector of the plan's WHERE over
-        ``working``, or ``None`` when ``working`` does not map 1:1 onto a
-        row range of its source (the caller then takes its own fallback).
+        ``working``, which must map 1:1 onto a row range of its source.
 
         The source is ``origin``'s table and row range, else
         ``fallback_source`` (or ``working`` itself) over all its rows.  The
@@ -730,7 +721,10 @@ class QueryExecutor:
             source = fallback_source if fallback_source is not None else working
             row_start, row_end = 0, working.num_rows
         if row_end - row_start != working.num_rows:
-            return None
+            raise ExecutionError(
+                f"partition of {working.num_rows} rows does not match its source "
+                f"range [{row_start}, {row_end})"
+            )
         kernel = self.predicate_kernel(plan.where, source)
         row_width = sum(working.schema.width_of(n) for n in self._pruned_names(plan, working))
         counters = ScanCounters()
@@ -865,12 +859,7 @@ def execute_exact(
     plan: Plannable,
     table: Table,
     dimension_tables: Mapping[str, Table] | None = None,
-    scan_acceleration: bool = True,
 ) -> QueryResult:
-    """Execute a plan exactly against the full base table.
-
-    ``scan_acceleration`` mirrors ``config.scan_acceleration`` for callers
-    of this standalone helper; answers are identical either way.
-    """
-    executor = QueryExecutor(dimension_tables, scan_acceleration=scan_acceleration)
+    """Execute a plan exactly against the full base table."""
+    executor = QueryExecutor(dimension_tables)
     return executor.execute(plan, table, ExecutionContext(exact=True, sample_name=None))

@@ -90,7 +90,7 @@ def analyze_text(
 def _scan_lines(estimate: ScanEstimate | None, sink: ScanSink | None) -> list[str]:
     actual = sink.counters if sink is not None else None
     if estimate is None and (actual is None or actual.blocks_total == 0):
-        lines = ["  scan:        no zone-map scan (join, no WHERE, or acceleration off)"]
+        lines = ["  scan:        no zone-map scan (join or no WHERE)"]
         if sink is not None:
             selectivity = sink.selectivity
             if selectivity is not None:

@@ -159,7 +159,7 @@ class PhysicalPlan:
     #: Columns the executor materializes (column pruning); () means all.
     pruned_columns: tuple[str, ...] = ()
     #: Zone-map scan accounting for the chosen resolution (None when the
-    #: plan has no join-free WHERE or acceleration is disabled).
+    #: plan has no join-free WHERE).
     scan_estimate: ScanEstimate | None = None
     #: Per-branch plans of a DISJUNCTIVE plan.
     branch_plans: tuple[BranchPlan, ...] = ()

@@ -56,6 +56,7 @@ from repro.sampling.resolution import SampleResolution
 from repro.sql.ast import AggregateFunction, ErrorBound
 from repro.storage.catalog import Catalog
 from repro.storage.encodings import describe_encoding_kinds
+from repro.storage.table import Table
 
 
 #: Partition-count heuristic of a pipeline execution: one partition per
@@ -197,7 +198,7 @@ class QueryPlanner:
             )
             size_span.annotate(resolution=resolution.name, satisfied=satisfied)
         with span.span("scan-estimate"):
-            scan_estimate = self.scan_estimate(logical, resolution)
+            scan_estimate = self.scan_estimate(logical, resolution.table)
         return PhysicalPlan(
             logical=logical,
             mode=PlanMode.APPROXIMATE,
@@ -282,7 +283,7 @@ class QueryPlanner:
         # across resolutions of one family.
         scan_fraction = 1.0
         if not clustered:
-            estimate = self.scan_estimate(logical, family.smallest)
+            estimate = self.scan_estimate(logical, family.smallest.table)
             if estimate is not None:
                 scan_fraction = estimate.scan_fraction
         if logical.error_bound is not None:
@@ -301,32 +302,27 @@ class QueryPlanner:
         return self.sizer.default_resolution(family, probe), profile, True
 
     # -- zone-map scan estimation ---------------------------------------------------------
-    def scan_estimate(
-        self, logical: LogicalPlan, resolution: SampleResolution
-    ) -> ScanEstimate | None:
-        """Zone-map scan accounting of ``logical`` on ``resolution``.
+    def scan_estimate(self, logical: LogicalPlan, table: Table) -> ScanEstimate | None:
+        """Zone-map scan accounting of ``logical`` on ``table``.
 
         Costing only: the predicate is *never evaluated* — the compiled
         kernel classifies each block's zone maps (O(num_blocks) metadata
         work) and the selectivity estimate comes from aggregated column
-        statistics.  Returns ``None`` when the plan has no join-free WHERE
-        clause or scan acceleration is disabled.
+        statistics.  ``table`` is a sample resolution's table, or the base
+        table for the exact path's EXPLAIN ANALYZE.  Returns ``None`` when
+        the plan has no join-free WHERE clause.
         """
-        if logical.where is None or logical.joins:
-            return None
-        if not getattr(self.config, "scan_acceleration", True):
-            return None
-        if self.executor is None or resolution.table.num_rows == 0:
+        if logical.where is None or logical.joins or table.num_rows == 0:
             return None
         try:
-            kernel = self.executor.predicate_kernel(logical.where, resolution.table)
+            kernel = self.executor.predicate_kernel(logical.where, table)
         except Exception:
             return None
         counters = kernel.scan_classification()
         estimated = estimate_selectivity(logical.where, kernel.zone_index)
         raw_bytes = encoded_bytes = 0
         encoding_kinds = ""
-        encoding_stats = resolution.table.encoding_stats()
+        encoding_stats = table.encoding_stats()
         if encoding_stats is not None:
             raw_bytes = int(encoding_stats["raw_bytes"])  # type: ignore[arg-type]
             encoded_bytes = int(encoding_stats["encoded_bytes"])  # type: ignore[arg-type]
@@ -481,7 +477,7 @@ class QueryPlanner:
             rows_to_read = int(max(1, resolution.num_rows * probe.selectivity * scale))
             reuse_rows = int(reuse_rows * probe.selectivity)
         elif logical is not None:
-            estimate = self.scan_estimate(logical, resolution)
+            estimate = self.scan_estimate(logical, resolution.table)
             if estimate is not None and estimate.rows_skipped > 0:
                 info = self.simulator.dataset(resolution.name)
                 scale = (

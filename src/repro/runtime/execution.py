@@ -122,7 +122,6 @@ class BlinkDBRuntime:
         self.obs = observability or Observability(self.config)
         self.executor = QueryExecutor(
             dimension_tables,
-            scan_acceleration=self.config.scan_acceleration,
             zone_block_rows=self.config.zone_block_rows,
         )
         self.planner = QueryPlanner(

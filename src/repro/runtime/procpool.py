@@ -262,7 +262,6 @@ class ProcessPartitionPool:
         self,
         max_workers: int | None = None,
         *,
-        scan_acceleration: bool = True,
         zone_block_rows: int | None = None,
         task_timeout_seconds: float | None = 30.0,
         retry_attempts: int = 2,
@@ -273,10 +272,7 @@ class ProcessPartitionPool:
     ) -> None:
         cpu = os.cpu_count() or 1
         self.max_workers = max(1, int(max_workers) if max_workers else cpu)
-        self._executor_options = {
-            "scan_acceleration": scan_acceleration,
-            "zone_block_rows": zone_block_rows,
-        }
+        self._executor_options = {"zone_block_rows": zone_block_rows}
         self.task_timeout_seconds = task_timeout_seconds
         self.retry_attempts = max(0, int(retry_attempts))
         self.retry_backoff_seconds = max(0.0, retry_backoff_seconds)

@@ -100,15 +100,6 @@ class ProbeResult:
             return max(finite)
         return float("inf") if has_infinite else 0.0
 
-    @property
-    def has_unbounded_group(self) -> bool:
-        """True when some group's error could not be estimated from the probe."""
-        for group in self.result.groups:
-            for aggregate in group.aggregates.values():
-                if not np.isfinite(aggregate.relative_error):
-                    return True
-        return False
-
 
 @dataclass(frozen=True)
 class FamilySelection:

@@ -74,20 +74,9 @@ class SampleResolution:
         return self.cap is not None
 
     @property
-    def sampling_fraction(self) -> float:
-        """Overall fraction of source rows present in this resolution."""
-        if self.source_rows == 0:
-            return 0.0
-        return self.num_rows / self.source_rows
-
-    @property
     def represented_rows(self) -> float:
         """Number of source rows this sample represents (sum of weights)."""
         return float(np.sum(self.weights)) if self.num_rows else 0.0
-
-    def effective_rates(self) -> np.ndarray:
-        """Per-row effective sampling rates (the reciprocal of the weights)."""
-        return 1.0 / self.weights
 
     def __repr__(self) -> str:
         kind = f"K={self.cap}" if self.is_stratified else f"p={self.fraction:g}"

@@ -87,10 +87,6 @@ class ScheduledItem:
     #: True while the item sits in a queue (False once popped/cancelled out).
     queued: bool = False
 
-    @property
-    def sort_key(self) -> tuple[float, int]:
-        return (self.deadline, self.seq)
-
 
 class SchedulerClosed(RuntimeError):
     """Raised when submitting to a scheduler that has been shut down."""

@@ -828,10 +828,6 @@ class QueryService:
                 alpha = self._ewma_alpha
                 self._predicted_by_template[label] = alpha * observed + (1 - alpha) * previous
 
-    def predicted_seconds_for(self, label: str) -> float:
-        with self._ewma_lock:
-            return self._predicted_by_template.get(label, self.default_predicted_seconds)
-
     # -- introspection ----------------------------------------------------------------
     def describe(self) -> dict[str, object]:
         """A JSON-friendly snapshot of the service, its queue, and its cache."""

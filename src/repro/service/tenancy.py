@@ -149,10 +149,6 @@ class TenantRegistry:
                     cap = quota.rows_per_second * quota.burst_seconds
                     state.tokens = min(state.tokens, cap)
 
-    def quota_of(self, tenant: str) -> TenantQuota:
-        with self._lock:
-            return self._quotas.get(tenant, self.default_quota)
-
     def weight_of(self, tenant: str) -> float:
         with self._lock:
             return self._quotas.get(tenant, self.default_quota).weight

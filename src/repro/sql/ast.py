@@ -18,10 +18,6 @@ class AggregateFunction(enum.Enum):
     STDDEV = "stddev"
     VARIANCE = "variance"
 
-    @property
-    def requires_column(self) -> bool:
-        return self is not AggregateFunction.COUNT
-
 
 class ComparisonOp(enum.Enum):
     """Comparison operators allowed in WHERE predicates."""

@@ -184,13 +184,6 @@ class TablePartition:
         """The block's zone maps, when they were attached at split time."""
         return self.block.zones
 
-    @property
-    def row_fraction(self) -> float:
-        """This partition's share of the source table's rows."""
-        if self.source.num_rows == 0:
-            return 0.0
-        return self.num_rows / self.source.num_rows
-
 
 def split_into_row_ranges(dataset: str, num_rows: int, num_partitions: int) -> BlockSet:
     """Split ``num_rows`` rows into ``num_partitions`` near-equal row ranges.

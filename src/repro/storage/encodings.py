@@ -922,8 +922,8 @@ def encode_table(table: "Table", block_rows: int) -> "Table":
 
     The zone-map index at the same ``block_rows`` supplies per-block
     min/max/null statistics to the encoding chooser; it is built here if
-    absent (the load path builds it eagerly first anyway) and stays valid
-    for the encoded table because the data is bit-identical.
+    absent and stays valid for the encoded table because the data is
+    bit-identical.
     """
     from repro.storage.table import Table
 

@@ -1,5 +1,7 @@
 """Tests for repro.common.config."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import BlinkDBConfig, ClusterConfig, SamplingConfig
@@ -96,6 +98,36 @@ class TestBlinkDBConfig:
         config = BlinkDBConfig()
         assert isinstance(config.sampling, SamplingConfig)
         assert isinstance(config.cluster, ClusterConfig)
+
+    def test_field_names_are_pinned(self):
+        # Every knob is surface a caller can set and a reviewer must weigh:
+        # adding or removing one has to edit this list.
+        assert [f.name for f in dataclasses.fields(BlinkDBConfig)] == [
+            "sampling",
+            "cluster",
+            "seed",
+            "strict_bounds",
+            "maintenance_churn_fraction",
+            "partition_workers",
+            "anytime_enabled",
+            "straggler_spread",
+            "execution_backend",
+            "procpool_workers",
+            "procpool_task_timeout_seconds",
+            "procpool_retry_attempts",
+            "procpool_retry_backoff_seconds",
+            "procpool_breaker_threshold",
+            "procpool_breaker_cooldown_seconds",
+            "service_retries",
+            "service_retry_backoff_seconds",
+            "ingest_flush_retries",
+            "fault_plan",
+            "fault_seed",
+            "ingest_staleness_budget",
+            "ingest_auto_escalate",
+            "zone_block_rows",
+            "trace_sample_rate",
+        ]
 
     def test_churn_fraction_bounds(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ from repro.planner.logical import LogicalPlan
 from repro.storage.table import Table
 from repro.storage.zonemaps import ZoneDecision
 
+from _reference import MaskPathExecutor
+
 ROWS = 120
 
 
@@ -104,7 +106,8 @@ class TestSelectionEquivalence:
             column: str = "a"
 
         plan = replace(LogicalPlan.of("SELECT COUNT(*) FROM t WHERE a < 3"), where=Foreign())
-        executor = QueryExecutor(scan_acceleration=accelerated, zone_block_rows=16)
+        executor_class = QueryExecutor if accelerated else MaskPathExecutor
+        executor = executor_class(zone_block_rows=16)
         with pytest.raises(ExecutionError, match="unsupported predicate type"):
             executor.count_matching(plan, table)
         with pytest.raises(ExecutionError, match="unsupported predicate type"):
@@ -317,7 +320,7 @@ class TestKernelCacheLifetime:
         import gc
         import weakref
 
-        executor = QueryExecutor(scan_acceleration=True, zone_block_rows=8)
+        executor = QueryExecutor(zone_block_rows=8)
         plan = LogicalPlan.of("SELECT COUNT(*) FROM t WHERE a < 3")
         table = Table.from_dict("t", {"a": list(range(32))})
         ref = weakref.ref(table)
@@ -329,7 +332,7 @@ class TestKernelCacheLifetime:
     def test_per_table_kernel_cache_is_bounded(self, table):
         from repro.engine.executor import _KERNEL_CACHE_ENTRIES
 
-        executor = QueryExecutor(scan_acceleration=True, zone_block_rows=16)
+        executor = QueryExecutor(zone_block_rows=16)
         for v in range(_KERNEL_CACHE_ENTRIES + 20):
             plan = LogicalPlan.of(f"SELECT COUNT(*) FROM t WHERE a < {v}")
             executor.predicate_kernel(plan.where, table)
@@ -339,7 +342,7 @@ class TestKernelCacheLifetime:
 
 class TestPartitionTriage:
     def test_zone_annotated_blocks_drive_whole_partition_skips(self, table):
-        executor = QueryExecutor(scan_acceleration=True, zone_block_rows=16)
+        executor = QueryExecutor(zone_block_rows=16)
         plan = LogicalPlan.of("SELECT COUNT(*) FROM t WHERE a < 30")
         blocks = table.block_set(num_partitions=4, zone_maps=True)
         partitions = table.partitions(block_set=blocks)

@@ -78,6 +78,19 @@ class TestFacadeExplainAnalyze:
         for group in analyzed.result.groups:
             for aggregate in group.aggregates.values():
                 assert aggregate.estimate.exact
+        # The exact path scanned the base table; its scan estimate is the
+        # planner's costing of that table.
+        estimate = blinkdb_conviva.runtime.planner.scan_estimate(
+            analyzed.plan.logical, blinkdb_conviva.catalog.table("sessions")
+        )
+        assert estimate is not None
+        assert (
+            f"blocks skipped est ~{estimate.blocks_skipped}/{estimate.blocks_total} "
+            in text
+        )
+        assert f"rows scanned est ~{estimate.rows_total - estimate.rows_skipped:,} " in text
+        assert f"selectivity: est ~{estimate.estimated_selectivity:.4f} " in text
+        assert f"encoding:    {estimate.describe_encoding()}" in text
 
     def test_partitioned_path_renders_fanout(self, blinkdb_conviva):
         analyzed = blinkdb_conviva.explain_analyze(

@@ -123,22 +123,6 @@ class TestScanEstimateOnPlans:
         plan = scan_db.runtime.explain("SELECT COUNT(*) FROM sessions")
         assert plan.scan_estimate is None
 
-    def test_disabled_acceleration_suppresses_estimate(self):
-        table = generate_sessions_table(num_rows=5_000, seed=3, num_cities=10)
-        config = BlinkDBConfig(
-            sampling=SamplingConfig(
-                largest_cap=200, min_cap=25, uniform_sample_fraction=0.08
-            ),
-            cluster=ClusterConfig(num_nodes=4),
-            scan_acceleration=False,
-        )
-        db = BlinkDB(config)
-        db.load_table(table)
-        db.register_workload(templates=conviva_query_templates())
-        db.build_samples(storage_budget_fraction=0.5)
-        plan = db.runtime.explain("SELECT COUNT(*) FROM sessions WHERE city = 'city_03'")
-        assert plan.scan_estimate is None
-
 
 class TestPlanningNeverScansBaseTable:
     def test_planning_does_not_access_base_table_columns(self, scan_db):

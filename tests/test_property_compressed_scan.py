@@ -5,11 +5,12 @@ block granularities:
 
 * every encoding round-trips **losslessly** — decode, gather, range
   decode, and slice views reproduce the raw array bitwise;
-* the accelerated executor over an **encoded** table returns bitwise
-  identical estimates and error bars to the naive mask path over the raw
-  table when the run-fold is off (`encoded_fold=False`, the gather
-  reference path), and identical-to-float-rounding (≤1e-9 relative)
-  results with the run-weighted fold on, serial and partitioned;
+* the kernel scan over an **encoded** table returns bitwise identical
+  estimates and error bars to the mask path over the raw table when the
+  aggregate stage gathers decoded values (`_reference.GatherPathExecutor`
+  against `_reference.MaskPathExecutor`), and the executor with its
+  run-weighted fold stays identical-to-float-rounding (≤1e-9 relative),
+  serial and partitioned;
 * `AggregateState.update_runs` (the closed-form RLE folds) agrees with
   expanding the runs and calling `update`;
 * the 22-predicate kernel sweep of `test_engine_kernels.py` produces the
@@ -43,6 +44,8 @@ from repro.storage.encodings import (
     table_encoding_stats,
 )
 from repro.storage.table import Table
+
+from _reference import GatherPathExecutor, MaskPathExecutor
 
 from test_engine_kernels import PREDICATES, ROWS
 from test_engine_kernels import table as _kernel_table_fixture  # noqa: F401
@@ -178,13 +181,11 @@ def _assert_close(naive, encoded, rel=1e-9):
 @settings(max_examples=60, deadline=None)
 @given(case=case_strategy)
 def test_encoded_gather_path_is_bitwise_identical(case):
-    """encoded storage + encoded_fold=False ≡ raw naive path, bitwise."""
+    """encoded storage + gathered aggregates ≡ raw mask path, bitwise."""
     table, encoded, plan, weights = _build_case(case)
     context = ExecutionContext(weights=weights, exact=weights is None)
-    naive = QueryExecutor(scan_acceleration=False, encoded_fold=False)
-    accelerated = QueryExecutor(
-        scan_acceleration=True, zone_block_rows=case["block_rows"], encoded_fold=False
-    )
+    naive = MaskPathExecutor()
+    accelerated = GatherPathExecutor(zone_block_rows=case["block_rows"])
     result_naive = naive.execute(plan, table, context)
     result_encoded = accelerated.execute(plan, encoded, context)
     assert result_naive.rows_read == result_encoded.rows_read
@@ -194,13 +195,11 @@ def test_encoded_gather_path_is_bitwise_identical(case):
 @settings(max_examples=60, deadline=None)
 @given(case=case_strategy)
 def test_encoded_run_fold_matches_naive(case):
-    """The run-weighted fold (`encoded_fold=True`) stays within 1e-9."""
+    """The executor's run-weighted fold stays within 1e-9."""
     table, encoded, plan, weights = _build_case(case)
     context = ExecutionContext(weights=weights, exact=weights is None)
-    naive = QueryExecutor(scan_acceleration=False, encoded_fold=False)
-    folded = QueryExecutor(
-        scan_acceleration=True, zone_block_rows=case["block_rows"], encoded_fold=True
-    )
+    naive = MaskPathExecutor()
+    folded = QueryExecutor(zone_block_rows=case["block_rows"])
     result_naive = naive.execute(plan, table, context)
     result_folded = folded.execute(plan, encoded, context)
     assert result_naive.rows_read == result_folded.rows_read
@@ -213,10 +212,8 @@ def test_partitioned_encoded_execution_matches_naive(case):
     """Partition views stay on the encoded path and agree with naive."""
     table, encoded, plan, weights = _build_case(case)
     context = ExecutionContext(weights=weights, exact=weights is None)
-    naive = QueryExecutor(scan_acceleration=False, encoded_fold=False)
-    accelerated = QueryExecutor(
-        scan_acceleration=True, zone_block_rows=case["block_rows"], encoded_fold=True
-    )
+    naive = MaskPathExecutor()
+    accelerated = QueryExecutor(zone_block_rows=case["block_rows"])
     kwargs = dict(num_partitions=case["partitions"], sim_workers=2)
     result_naive = PartitionPipeline(naive).run(plan, table, context, **kwargs)
     result_encoded = PartitionPipeline(accelerated).run(plan, encoded, context, **kwargs)

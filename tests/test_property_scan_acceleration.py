@@ -2,10 +2,10 @@
 
 For random tables, predicates, and block granularities:
 
-* the accelerated executor (zone maps + compiled kernels + selection
-  vectors) returns **bitwise-identical** estimates and error bars to the
-  naive mask path on the serial route, and identical-to-merge-rounding
-  results through the partition pipeline;
+* the executor (zone maps + compiled kernels + selection vectors) returns
+  **bitwise-identical** estimates and error bars to the mask-path reference
+  (:class:`_reference.MaskPathExecutor`) on the serial route, and
+  identical-to-merge-rounding results through the partition pipeline;
 * zone-map classification is **sound**: a SKIP block contains no matching
   row and a TAKE_ALL block contains only matching rows — no false skips.
 """
@@ -24,6 +24,8 @@ from repro.planner.logical import LogicalPlan
 from repro.runtime.partitioned import PartitionPipeline
 from repro.storage.table import Table
 from repro.storage.zonemaps import ZoneDecision
+
+from _reference import MaskPathExecutor
 
 # -- random inputs ------------------------------------------------------------------
 
@@ -143,8 +145,8 @@ def _same_float(a: float, b: float) -> bool:
 
 
 def _executors(block_rows: int) -> tuple[QueryExecutor, QueryExecutor]:
-    naive = QueryExecutor(scan_acceleration=False)
-    accelerated = QueryExecutor(scan_acceleration=True, zone_block_rows=block_rows)
+    naive = MaskPathExecutor()
+    accelerated = QueryExecutor(zone_block_rows=block_rows)
     return naive, accelerated
 
 

@@ -11,6 +11,21 @@ from repro.workloads.conviva import conviva_query_templates
 from repro.workloads.tpch import tpch_query_templates
 
 
+@pytest.fixture(scope="module")
+def join_db(lineitem_table, orders_table):
+    """lineitem samples with orders loaded as a dimension table (read-only)."""
+    config = BlinkDBConfig(
+        sampling=SamplingConfig(largest_cap=100, min_cap=10, uniform_sample_fraction=0.1),
+        cluster=ClusterConfig(num_nodes=4),
+    )
+    db = BlinkDB(config)
+    db.load_table(lineitem_table)
+    db.load_dimension_table(orders_table)
+    db.register_workload(templates=tpch_query_templates())
+    db.build_samples(storage_budget_fraction=0.5)
+    return db
+
+
 class TestRuntimeDecisions:
     def test_error_bound_query_uses_stratified_sample(self, blinkdb_conviva):
         result = blinkdb_conviva.query(
@@ -205,16 +220,8 @@ class TestFacade:
         built = set(db.catalog.stratified_families("sessions"))
         assert {f.columns for f in plan.families} == built
 
-    def test_query_with_join_against_dimension_table(self, lineitem_table, orders_table):
-        config = BlinkDBConfig(
-            sampling=SamplingConfig(largest_cap=100, min_cap=10, uniform_sample_fraction=0.1),
-            cluster=ClusterConfig(num_nodes=4),
-        )
-        db = BlinkDB(config)
-        db.load_table(lineitem_table)
-        db.load_dimension_table(orders_table)
-        db.register_workload(templates=tpch_query_templates())
-        db.build_samples(storage_budget_fraction=0.5)
+    def test_query_with_join_against_dimension_table(self, join_db):
+        db = join_db
         sql = (
             "SELECT AVG(extendedprice) FROM lineitem JOIN orders ON orderkey = orderkey "
             "WHERE shipmode = 'AIR' GROUP BY orderpriority WITHIN 10 SECONDS"
@@ -229,6 +236,19 @@ class TestFacade:
             if exact.has_group(group.key):
                 exact_value = exact.group(group.key)["avg_extendedprice"].value
                 assert abs(group["avg_extendedprice"].value - exact_value) / exact_value < 0.5
+
+    @pytest.mark.parametrize(
+        "where", ["totalprice > 100000.0", "orderpriority = '1-URGENT'"]
+    )
+    def test_approximate_join_filters_on_dimension_column(self, join_db, where):
+        # Selection counts each family's matches; a WHERE that names a
+        # column of the joined dimension table must be counted after the
+        # join, the way the aggregate stage filters.
+        sql = f"SELECT COUNT(*) FROM lineitem JOIN orders ON orderkey = orderkey WHERE {where}"
+        exact = join_db.query_exact(sql).scalar().value
+        approx = join_db.query(sql).scalar().value
+        assert exact > 0
+        assert abs(approx - exact) / exact < 0.5
 
     def test_sole_workload_table_inference_fails_with_multiple(self, sessions_table, lineitem_table):
         db = BlinkDB()

@@ -141,7 +141,7 @@ class TestPartitionPipeline:
         true_count = sum(1 for v in range(rows) if v > rows - 250)
         query = parse_query(f"SELECT COUNT(*) FROM t WHERE x > {rows - 250}")
         pipeline = PartitionPipeline(
-            QueryExecutor(scan_acceleration=True, zone_block_rows=256)
+            QueryExecutor(zone_block_rows=256)
         )
         result = pipeline.run(
             query, table, ExecutionContext(exact=True),
