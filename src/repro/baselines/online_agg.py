@@ -37,6 +37,7 @@ from repro.engine.accumulators import PartialAggregation
 from repro.engine.executor import ExecutionContext, Plannable, QueryExecutor
 from repro.engine.result import QueryResult
 from repro.planner.logical import LogicalPlan
+from repro.storage.block import Block, TablePartition
 from repro.storage.table import Table
 
 #: Random-order reads achieve a fraction of sequential disk bandwidth; OLA
@@ -104,8 +105,19 @@ class OnlineAggregationBaseline:
             stream.partial = None
             stream.rows_consumed = 0
         if rows_scanned > stream.rows_consumed:
-            chunk = self._randomized_table().slice_rows(stream.rows_consumed, rows_scanned)
-            piece = self._executor.partial_aggregate(plan, chunk)
+            # A row-range view of the one randomized table: the executor's
+            # zone maps and kernel are built for that table once, not per chunk.
+            chunk = TablePartition(
+                source=self._randomized_table(),
+                block=Block(
+                    dataset=self.table.name,
+                    index=0,
+                    row_start=stream.rows_consumed,
+                    row_end=rows_scanned,
+                    size_bytes=rows_scanned - stream.rows_consumed,
+                ),
+            )
+            piece = self._executor.partial_aggregate_partition(plan, chunk)
             stream.partial = (
                 piece if stream.partial is None else stream.partial.merge(piece)
             )

@@ -9,8 +9,12 @@ library:
   estimates, variances, and error bars survive the wire unchanged), the
   structured error-code taxonomy, and the envelope helpers shared by both
   ends.
+* :mod:`repro.net.http` — the HTTP/1.1 framing both ends share: one header
+  scan into a dict per message, ``Content-Length`` and chunked bodies, and
+  one ``sendall`` per response, with the standard library's line and
+  header-count limits.
 * :mod:`repro.net.server` — :class:`~repro.net.server.NetworkServer`, a
-  threaded HTTP/1.1 endpoint (``http.server``) exposing submit/poll/cancel,
+  threaded HTTP/1.1 endpoint (``socketserver``) exposing submit/poll/cancel,
   chunked progressive streaming, EXPLAIN (ANALYZE), append-over-the-wire,
   Prometheus ``/metrics``, and ``/healthz`` — in front of a tenant-aware
   :class:`~repro.service.server.QueryService`.

@@ -1,10 +1,11 @@
 """The retrying wire client (also exported as ``repro.client.Client``).
 
-:class:`Client` speaks the :mod:`repro.net.protocol` JSON protocol over a
-persistent HTTP/1.1 connection (``http.client``, keep-alive) and maps the
-structured error taxonomy back onto the library's exception types — code
-from a :class:`~repro.core.blinkdb.BlinkDB` process and code talking to a
-server across the wire handle failures identically.
+:class:`Client` speaks the :mod:`repro.net.protocol` JSON protocol over one
+persistent HTTP/1.1 connection (a ``TCP_NODELAY`` socket and one buffered
+reader, framed by :mod:`repro.net.http`: each request leaves in one
+``sendall``) and maps the structured error taxonomy back onto the library's
+exception types — code from a :class:`~repro.core.blinkdb.BlinkDB` process
+and code talking to a server across the wire handle failures identically.
 
 Retry policy
 ------------
@@ -12,9 +13,11 @@ Only *idempotent* calls are retried (queries are read-only; ``submit`` in
 ticket mode and ``append`` are not retried because a blind re-send could
 duplicate work).  Two failure classes are retryable:
 
-* **Transport failures** — connection refused/reset, socket timeouts,
-  half-baked responses.  These say nothing about the query, so the client
-  reconnects and retries with capped exponential backoff.
+* **Transport failures** — connection refused/reset, socket timeouts, and
+  responses that end before their status line or body is complete (a stale
+  keep-alive socket the server has closed reads as such an end).  These say
+  nothing about the query, so the client reconnects and retries with capped
+  exponential backoff.
 * **Retryable structured errors** — ``shed-queue-full`` (backlog pressure
   drains) and ``shed-quota`` (the server names the wait: the client honors
   the ``Retry-After`` hint before re-submitting).  ``shed-deadline`` is
@@ -29,17 +32,16 @@ history accumulate across wire requests exactly as they do in-process.
 
 from __future__ import annotations
 
-import http.client
 import itertools
 import json
 import os
 import socket
 import threading
 import time
-from typing import Any, Iterator, Mapping
+from typing import Any, BinaryIO, Iterator, Mapping
 
 from repro.engine.result import QueryResult
-from repro.net import protocol
+from repro.net import http, protocol
 from repro.runtime.partitioned import ProgressiveSnapshot
 
 _client_ids = itertools.count(1)
@@ -132,7 +134,9 @@ class Client:
         self.retries = max(0, retries)
         self.retry_backoff_seconds = retry_backoff_seconds
         self.retry_backoff_cap_seconds = retry_backoff_cap_seconds
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        self._rfile: BinaryIO | None = None
+        self._host_header = f"{host}:{port}"
         self._request_ids = itertools.count(1)
         self._lock = threading.Lock()
         #: Wire-level counters (reads are approximate under concurrency).
@@ -147,9 +151,7 @@ class Client:
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
         with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
+            self._drop_connection()
 
     def __enter__(self) -> "Client":
         return self
@@ -158,25 +160,56 @@ class Client:
         self.close()
 
     # -- transport ---------------------------------------------------------------
-    def _connection(self, timeout: float) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=max(timeout, self.connect_timeout_seconds)
-            )
-        # One socket per client: refresh the deadline for this request.
-        self._conn.timeout = timeout
-        if self._conn.sock is not None:
-            self._conn.sock.settimeout(timeout)
-        else:
-            self._conn.connect()
-            # Disable Nagle: request bodies are small and latency-critical.
-            self._conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return self._conn
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        headers: dict[str, str],
+        body: bytes | None,
+        timeout: float,
+        stream: bool = False,
+    ) -> http.Message:
+        """Send one request and read its response; callers hold ``_lock``.
+
+        With ``stream``, a 200 response's body is left on the socket for
+        the caller to read.  Any failure drops the connection and propagates
+        as an :class:`OSError`.
+        """
+        try:
+            if self._sock is None:
+                sock = socket.create_connection(
+                    (self.host, self.port),
+                    timeout=max(timeout, self.connect_timeout_seconds),
+                )
+                # Disable Nagle: request bodies are small and latency-critical.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._sock, self._rfile = sock, sock.makefile("rb")
+            # One socket per client: refresh the deadline for this request.
+            self._sock.settimeout(timeout)
+            headers["Host"] = self._host_header
+            http.write_request(self._sock, method, path, headers, body)
+            assert self._rfile is not None
+            if stream:
+                response = http.read_response_head(self._rfile)
+                if response.status == 200:
+                    return response
+                http.read_body(self._rfile, response)
+            else:
+                response = http.read_response(self._rfile)
+        except OSError:
+            self.stats["transport_errors"] += 1
+            self._drop_connection()
+            raise
+        if response.close:
+            self._drop_connection()
+        return response
 
     def _drop_connection(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            assert self._rfile is not None
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     def _next_request_id(self) -> str:
         return f"{self.session_name}-{next(self._request_ids)}"
@@ -207,20 +240,14 @@ class Client:
         while True:
             self.stats["requests"] += 1
             request_id = self._next_request_id()
+            headers = {"X-Request-Id": request_id}
+            if payload is not None:
+                headers["Content-Type"] = "application/json"
             try:
                 with self._lock:
-                    conn = self._connection(timeout)
-                    headers = {"X-Request-Id": request_id}
-                    if payload is not None:
-                        headers["Content-Type"] = "application/json"
-                    conn.request(method, path, body=payload, headers=headers)
-                    response = conn.getresponse()
-                    raw = response.read()
-            except (OSError, http.client.HTTPException) as error:
+                    raw = self._exchange(method, path, headers, payload, timeout).body
+            except OSError as error:
                 # Transport failure: no structured verdict was received.
-                self.stats["transport_errors"] += 1
-                with self._lock:
-                    self._drop_connection()
                 if idempotent and attempt < self.retries:
                     time.sleep(self._backoff(attempt))
                     attempt += 1
@@ -299,38 +326,36 @@ class Client:
         """
         timeout = timeout if timeout is not None else self.request_timeout_seconds
         body = _json_body(self._submit_body(sql, timeout_s=timeout))
+        headers = {
+            "X-Request-Id": self._next_request_id(),
+            "Content-Type": "application/json",
+        }
         with self._lock:
-            conn = self._connection(timeout + self.connect_timeout_seconds)
             try:
-                conn.request(
+                response = self._exchange(
                     "POST",
                     "/v1/stream",
-                    body=body,
-                    headers={
-                        "X-Request-Id": self._next_request_id(),
-                        "Content-Type": "application/json",
-                    },
+                    headers,
+                    body,
+                    timeout + self.connect_timeout_seconds,
+                    stream=True,
                 )
-                response = conn.getresponse()
-            except (OSError, http.client.HTTPException) as error:
-                self.stats["transport_errors"] += 1
-                self._drop_connection()
+            except OSError as error:
                 raise TransportError(f"stream failed: {error}") from error
+            rfile = self._rfile
         if response.status != 200:
-            raw = response.read()
-            envelope = json.loads(raw.decode("utf-8"))
+            envelope = json.loads(response.body.decode("utf-8"))
             error_obj = envelope.get("error") or {}
             raise protocol.exception_for(
                 str(error_obj.get("code") or protocol.ERR_INTERNAL),
                 str(error_obj.get("message") or "stream rejected"),
                 error_obj.get("retry_after_s"),
             )
+        assert rfile is not None
         try:
-            while True:
-                line = response.readline()
-                if not line:
-                    break
-                event = json.loads(line.decode("utf-8"))
+            # The server sends each event as one chunk: a JSON line.
+            for chunk in http.iter_chunks(rfile):
+                event = json.loads(chunk.decode("utf-8"))
                 kind = event.get("type")
                 if kind == "snapshot":
                     yield "snapshot", protocol.decode_snapshot(event["snapshot"])
@@ -400,23 +425,19 @@ class Client:
 
     def metrics_text(self) -> str:
         """The server's Prometheus text exposition (``GET /metrics``)."""
+        headers = {"X-Request-Id": self._next_request_id()}
         with self._lock:
-            conn = self._connection(self.request_timeout_seconds)
             try:
-                conn.request(
-                    "GET", "/metrics", headers={"X-Request-Id": self._next_request_id()}
+                response = self._exchange(
+                    "GET", "/metrics", headers, None, self.request_timeout_seconds
                 )
-                response = conn.getresponse()
-                raw = response.read()
-            except (OSError, http.client.HTTPException) as error:
-                self.stats["transport_errors"] += 1
-                self._drop_connection()
+            except OSError as error:
                 raise TransportError(f"GET /metrics failed: {error}") from error
         if response.status != 200:
             raise protocol.WireError(
                 f"GET /metrics returned HTTP {response.status}", protocol.ERR_INTERNAL
             )
-        return raw.decode("utf-8")
+        return response.body.decode("utf-8")
 
     # -- helpers -------------------------------------------------------------------
     def _submit_body(

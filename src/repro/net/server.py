@@ -1,12 +1,22 @@
 """The wire-protocol server: a threaded HTTP/1.1 front door over one service.
 
 :class:`NetworkServer` binds a real TCP socket (stdlib
-``http.server.ThreadingHTTPServer`` — one thread per connection, keep-alive
-on) in front of a tenant-aware
-:class:`~repro.service.server.QueryService`.  The connection threads only
-parse, admit, and wait; actual query execution stays on the service's worker
-pool, so hundreds of idle connections cost hundreds of parked threads, not
-hundreds of executing queries.
+``socketserver.ThreadingTCPServer``: one thread per connection, named
+``blinkdb-net-<port>-conn``) in front of a tenant-aware
+:class:`~repro.service.server.QueryService`.  Each connection thread runs a
+keep-alive loop over :func:`repro.net.http.read_request` and answers every
+request with one :func:`~repro.net.http.write_response` (one ``sendall``).
+The connection threads only parse, admit, and wait; actual query execution
+stays on the service's worker pool, so hundreds of idle connections cost
+hundreds of parked threads, not hundreds of executing queries.  The server
+records every accepted socket: :meth:`NetworkServer.close` shuts each one
+down and joins its thread, so no connection outlives the server.
+
+A request that breaks HTTP/1.1 framing (a bad request line, a line over
+64 KiB, more than 100 headers, a ``Transfer-Encoding`` body) is answered
+with a ``bad-request`` envelope under the framing status (400, 414, 431,
+411) and the connection is closed, as it is after an HTTP/1.0 request or a
+``Connection: close`` one.
 
 Routes (all bodies JSON; see :mod:`repro.net.protocol` for the envelope):
 
@@ -57,16 +67,15 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.common.errors import QueryRejectedError
 from repro.engine.result import QueryResult
 from repro.faults.injector import active as _fault_active
-from repro.net import protocol
+from repro.net import http, protocol
 from repro.obs.analyze import AnalyzeResult
 from repro.planner.physical import ExplainResult
 from repro.service.server import QueryService, QueryTicket
@@ -80,6 +89,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _TICKET_TTL_SECONDS = 300.0
 #: Wire-thread sleep while watching a progressive ticket for new snapshots.
 _STREAM_POLL_SECONDS = 0.01
+#: How long a connection answered with a framing error may keep sending
+#: before it is closed (see ``Handler._linger``).
+_LINGER_SECONDS = 1.0
 
 
 def _json_bytes(obj: Mapping[str, Any]) -> bytes:
@@ -126,12 +138,10 @@ class NetworkServer:
         self._tickets_lock = threading.Lock()
         self._closed = False
 
-        handler = _build_handler(self)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self.host, self.port = self._httpd.server_address[:2]
+        self._tcp = _TCPServer((host, port), _build_handler(self))
+        self.host, self.port = self._tcp.server_address[:2]
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
+            target=self._tcp.serve_forever,
             name=f"blinkdb-net-{self.port}",
             daemon=True,
         )
@@ -143,15 +153,30 @@ class NetworkServer:
         return f"http://{self.host}:{self.port}"
 
     def close(self, timeout: float | None = 10.0) -> None:
-        """Stop accepting connections, release the port, close an owned service."""
+        """Stop accepting, end every open connection, release the port.
+
+        Open keep-alive connections are shut down, so their clients see a
+        transport error; an owned service is closed; each connection thread
+        is joined within ``timeout`` seconds overall.
+        """
         if self._closed:
             return
         self._closed = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        self._tcp.shutdown()
+        self._tcp.server_close()
         self._thread.join(timeout)
+        with self._tcp.connections_lock:
+            connections = list(self._tcp.connections.items())
+        for sock, _ in connections:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the connection ended on its own meanwhile
         if self._owns_service and not self.service._closed:
             self.service.close()
+        for _, thread in connections:
+            thread.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
         with self._tickets_lock:
             self._tickets.clear()
 
@@ -210,6 +235,38 @@ class NetworkServer:
         }
 
 
+class _TCPServer(socketserver.ThreadingTCPServer):
+    """The listener: one named daemon thread per connection, each recorded.
+
+    ``connections`` maps every open connection socket to its thread, so
+    :meth:`NetworkServer.close` can end connections that are still open.
+    """
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, address: tuple[str, int], handler: type) -> None:
+        super().__init__(address, handler)
+        self.connections: dict[socket.socket, threading.Thread] = {}
+        self.connections_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name=f"blinkdb-net-{self.server_address[1]}-conn",
+            daemon=True,
+        )
+        with self.connections_lock:
+            self.connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request: Any) -> None:
+        with self.connections_lock:
+            self.connections.pop(request, None)
+        super().shutdown_request(request)
+
+
 def _result_meta(result: QueryResult) -> dict[str, Any]:
     """The generation/backend stamp every answer's envelope meta carries."""
     meta: dict[str, Any] = {}
@@ -224,30 +281,78 @@ def _result_meta(result: QueryResult) -> dict[str, Any]:
     return meta
 
 
-def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
+def _build_handler(server: NetworkServer) -> type[socketserver.StreamRequestHandler]:
     """A handler class closed over one :class:`NetworkServer` instance."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "blinkdb-net/1"
-        # Small header/body writes on a keep-alive socket otherwise hit the
-        # Nagle + delayed-ACK interaction (~40ms per round-trip on loopback).
+    class Handler(socketserver.StreamRequestHandler):
+        # Small writes on a keep-alive socket otherwise hit the Nagle +
+        # delayed-ACK interaction (~40ms per round-trip on loopback).
         disable_nagle_algorithm = True
 
+        close_connection = False
+
         # -- plumbing -----------------------------------------------------------
-        def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-            pass  # wire metrics live in the service/obs registries, not stderr
+        def handle(self) -> None:
+            """The keep-alive loop: read a request, answer it, until one closes."""
+            while not self.close_connection:
+                try:
+                    request = http.read_request(self.rfile)
+                except http.ProtocolError as error:
+                    self._reject(error)
+                    return
+                except OSError:
+                    return  # reset by the peer, or shut down by close()
+                if request is None:
+                    return
+                self.path = request.target
+                self.headers = request.headers
+                self.body = request.body
+                self.close_connection = request.close
+                try:
+                    if request.method == "GET":
+                        self.do_GET()
+                    elif request.method == "POST":
+                        self.do_POST()
+                    else:
+                        self._reject(
+                            http.ProtocolError(f"unsupported method {request.method!r}", 501)
+                        )
+                except OSError:
+                    return  # the peer went away mid-answer
+
+        def _reject(self, error: http.ProtocolError) -> None:
+            """Answer a request the framing refused, then close the connection."""
+            self.close_connection = True
+            meta = {"request_id": uuid.uuid4().hex[:16]}
+            try:
+                self._send_envelope(
+                    error.status,
+                    protocol.error_envelope(protocol.ERR_BAD_REQUEST, str(error), meta=meta),
+                )
+                self._linger()
+            except OSError:
+                pass
+
+        def _linger(self) -> None:
+            # Closing with unread input resets the connection, and the reset
+            # can destroy the answer before the client reads it.  So half-close
+            # and discard what the client still sends, for a bounded time.
+            sock = self.connection
+            sock.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + _LINGER_SECONDS
+            while (left := deadline - time.monotonic()) > 0:
+                sock.settimeout(left)
+                if not sock.recv(65536):
+                    return
 
         def _request_id(self) -> str:
-            header = self.headers.get("X-Request-Id")
+            header = self.headers.get("x-request-id")
             return header if header else uuid.uuid4().hex[:16]
 
         def _read_body(self) -> dict[str, Any]:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length <= 0:
+            if not self.body:
                 return {}
-            raw = self.rfile.read(length)
-            parsed = json.loads(raw.decode("utf-8"))
+            parsed = json.loads(self.body.decode("utf-8"))
             if not isinstance(parsed, dict):
                 raise ValueError("request body must be a JSON object")
             return parsed
@@ -281,15 +386,18 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
             self._send_body(status, _json_bytes(envelope), retry_after)
 
         def _send_body(
-            self, status: int, body: bytes, retry_after: float | None = None
+            self,
+            status: int,
+            body: bytes,
+            retry_after: float | None = None,
+            content_type: str = "application/json",
         ) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
+            headers = {"Content-Type": content_type}
             if retry_after is not None:
-                self.send_header("Retry-After", f"{max(0.0, retry_after):.3f}")
-            self.end_headers()
-            self.wfile.write(body)
+                headers["Retry-After"] = f"{max(0.0, retry_after):.3f}"
+            http.write_response(
+                self.connection, status, headers, body, close=self.close_connection
+            )
 
         def _send_error_envelope(
             self, error: BaseException, meta: dict[str, Any]
@@ -302,16 +410,8 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
                 retry_after=retry_after,
             )
 
-        def _send_text(self, status: int, text: str, content_type: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
         # -- HTTP verbs ---------------------------------------------------------
-        def do_GET(self) -> None:  # noqa: N802 - http.server API
+        def do_GET(self) -> None:  # noqa: N802 - one method per HTTP verb
             if self._fault_gate():
                 return
             request_id = self._request_id()
@@ -330,10 +430,10 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
                         ),
                     )
                 elif self.path == "/metrics":
-                    self._send_text(
+                    self._send_body(
                         200,
-                        server.db.metrics_text(),
-                        "text/plain; version=0.0.4; charset=utf-8",
+                        server.db.metrics_text().encode("utf-8"),
+                        content_type="text/plain; version=0.0.4; charset=utf-8",
                     )
                 else:
                     self._send_envelope(
@@ -345,7 +445,7 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
             except Exception as error:  # noqa: BLE001 - wire boundary
                 self._send_error_envelope(error, meta)
 
-        def do_POST(self) -> None:  # noqa: N802 - http.server API
+        def do_POST(self) -> None:  # noqa: N802 - one method per HTTP verb
             if self._fault_gate():
                 return
             request_id = self._request_id()
@@ -504,17 +604,15 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
             timeout = float(body.get("timeout_s") or server.default_timeout_seconds)
             deadline = time.monotonic() + timeout
 
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
+            http.write_chunked_head(
+                self.connection,
+                200,
+                {"Content-Type": "application/x-ndjson"},
+                close=self.close_connection,
+            )
 
             def write_chunk(obj: Mapping[str, Any]) -> None:
-                line = _json_bytes(obj) + b"\n"
-                self.wfile.write(f"{len(line):x}\r\n".encode("ascii"))
-                self.wfile.write(line)
-                self.wfile.write(b"\r\n")
-                self.wfile.flush()
+                http.write_chunk(self.connection, _json_bytes(obj) + b"\n")
 
             sent = 0
             try:
@@ -542,7 +640,7 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
                                 },
                             }
                         )
-                        self.wfile.write(b"0\r\n\r\n")
+                        http.write_chunk(self.connection, b"")
                         return
                     ticket.wait(_STREAM_POLL_SECONDS)
                 error = ticket.exception()
@@ -568,7 +666,7 @@ def _build_handler(server: NetworkServer) -> type[BaseHTTPRequestHandler]:
                             "result": protocol.encode_result(result),
                         }
                     )
-                self.wfile.write(b"0\r\n\r\n")
+                http.write_chunk(self.connection, b"")
             except BrokenPipeError:
                 # Client went away mid-stream; queued work is already
                 # running, nothing to unwind at the wire layer.

@@ -15,6 +15,7 @@ each test's own ``max_examples`` by :data:`EXPLORE_EXAMPLE_FACTOR`.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -88,6 +89,33 @@ def exported_segments(monkeypatch: pytest.MonkeyPatch) -> SegmentLedger:
 
     monkeypatch.setattr(shm, "export_table", recording)
     return ledger
+
+
+@pytest.fixture(scope="module", autouse=True)
+def net_threads_end_with_their_server(request: pytest.FixtureRequest):
+    """In the wire suites, fail any ``NetworkServer.close()`` that leaves threads.
+
+    A closed server must leave neither its accept thread
+    (``blinkdb-net-<port>``) nor any connection thread
+    (``blinkdb-net-<port>-conn``) running.  Module-scoped, so the servers of
+    module fixtures are checked at their teardown too.
+    """
+    if not request.path.name.startswith("test_net_"):
+        yield
+        return
+    from repro.net.server import NetworkServer
+
+    real_close = NetworkServer.close
+
+    def close(self: NetworkServer, *args: object, **kwargs: object) -> None:
+        real_close(self, *args, **kwargs)
+        names = {f"blinkdb-net-{self.port}", f"blinkdb-net-{self.port}-conn"}
+        survivors = [t.name for t in threading.enumerate() if t.name in names]
+        assert not survivors, f"threads outlived their closed server: {survivors}"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NetworkServer, "close", close)
+        yield
 
 
 @pytest.fixture(scope="session")
